@@ -1,15 +1,12 @@
-// Transport ablation for the blockstore RPC plane: raw request/reply
-// datagrams (every lost packet is paid for by the CLIENT's timeout+retry
-// ladder, a full attempt window each time) vs VTP streams (the TRANSPORT
-// retransmits at its RTO, far below the rpc attempt timeout, and the rpc
-// layer almost never notices the loss).
+// Transport loss sweep for the blockstore RPC plane: the client rides VTP
+// streams, so the TRANSPORT retransmits lost segments at its RTO, far below
+// the rpc attempt timeout, and the rpc layer almost never notices the loss.
 //
-// One node, one closed-loop BlockStoreClient, identical retry policy on both
-// arms, fabric loss swept 0% / 1% / 5%. Time is virtual: one tick = one pump
-// (serve_once + both VTP stacks' clock), so the sweep replays bit-identically
-// — no wall clock anywhere. Goodput is completed ops per kilotick; latency is
-// per-op pump ticks. Emits BENCH_ablate_transport.json. Honors
-// VNROS_BENCH_QUICK.
+// One node, one closed-loop BlockStoreClient, fabric loss swept 0% / 1% /
+// 5%. Time is virtual: one tick = one pump (serve_once + both VTP stacks'
+// clock), so the sweep replays bit-identically — no wall clock anywhere.
+// Goodput is completed ops per kilotick; latency is per-op pump ticks.
+// Emits BENCH_ablate_transport.json. Honors VNROS_BENCH_QUICK.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +53,7 @@ struct ArmResult {
   double p50_ticks = 0;
   double p99_ticks = 0;
   u64 rpc_retries = 0;     // attempts the CLIENT had to repeat
-  u64 retransmits = 0;     // segments the TRANSPORT repeated (vtp arm only)
+  u64 retransmits = 0;     // segments the TRANSPORT repeated
 };
 
 double percentile(std::vector<u64>& samples, double p) {
@@ -68,14 +65,13 @@ double percentile(std::vector<u64>& samples, double p) {
   return static_cast<double>(samples[idx]);
 }
 
-ArmResult run_arm(BsTransport transport, u64 loss_ppm, usize ops, usize value_bytes,
-                  u64 seed) {
+ArmResult run_arm(u64 loss_ppm, usize ops, usize value_bytes, u64 seed) {
   FabricConfig fabric;
   fabric.loss_ppm = loss_ppm;
   Network net(fabric, seed);
   Host server(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, kPort, {}, {}, {}, transport);
+  BlockStoreNode node(server.sys, kPort);
   VNROS_CHECK(node.init().ok());
   u64 ticks = 0;
   auto pump = [&] {
@@ -84,8 +80,7 @@ ArmResult run_arm(BsTransport transport, u64 loss_ppm, usize ops, usize value_by
     client_host.kernel.vtp().tick();
     ++ticks;
   };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), kPort, pump,
-                          RetryPolicy{}, transport);
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), kPort, pump);
   VNROS_CHECK(client.init().ok());
 
   std::vector<u8> value(value_bytes, 0xAB);
@@ -131,30 +126,19 @@ int main() {
   json.config("workload", "alternating put/get over 64 keys, closed loop");
   json.config("quick", quick);
 
-  std::printf("# ablate_transport: datagram timeout+retry vs VTP stream retransmit\n");
-  std::printf("# %6s | %12s %9s %9s %8s | %12s %9s %9s %8s %10s\n", "loss%", "dgram op/kt",
-              "p50", "p99", "retries", "vtp op/kt", "p50", "p99", "retries", "rexmits");
+  std::printf("# ablate_transport: VTP stream retransmit under fabric loss\n");
+  std::printf("# %6s | %12s %9s %9s %8s %10s\n", "loss%", "vtp op/kt", "p50", "p99", "retries",
+              "rexmits");
   for (u64 loss_ppm : loss_sweep) {
-    ArmResult dgram = run_arm(BsTransport::kDatagram, loss_ppm, ops, value_bytes,
-                              /*seed=*/0xAB1A7E + loss_ppm);
-    ArmResult vtp = run_arm(BsTransport::kVtp, loss_ppm, ops, value_bytes,
-                            /*seed=*/0xAB1A7E + loss_ppm);
+    ArmResult vtp = run_arm(loss_ppm, ops, value_bytes, /*seed=*/0xAB1A7E + loss_ppm);
     double loss_pct = static_cast<double>(loss_ppm) / 10'000.0;
-    std::printf("  %6.1f | %12.1f %9.1f %9.1f %8llu | %12.1f %9.1f %9.1f %8llu %10llu\n",
-                loss_pct, dgram.ops_per_kilotick, dgram.p50_ticks, dgram.p99_ticks,
-                static_cast<unsigned long long>(dgram.rpc_retries), vtp.ops_per_kilotick,
-                vtp.p50_ticks, vtp.p99_ticks,
-                static_cast<unsigned long long>(vtp.rpc_retries),
+    std::printf("  %6.1f | %12.1f %9.1f %9.1f %8llu %10llu\n", loss_pct, vtp.ops_per_kilotick,
+                vtp.p50_ticks, vtp.p99_ticks, static_cast<unsigned long long>(vtp.rpc_retries),
                 static_cast<unsigned long long>(vtp.retransmits));
-    json.row("datagram_ops_per_kilotick", loss_pct, dgram.ops_per_kilotick);
     json.row("vtp_ops_per_kilotick", loss_pct, vtp.ops_per_kilotick);
-    json.row("datagram_p99_ticks", loss_pct, dgram.p99_ticks);
     json.row("vtp_p99_ticks", loss_pct, vtp.p99_ticks);
-    json.row("datagram_rpc_retries", loss_pct, static_cast<double>(dgram.rpc_retries));
     json.row("vtp_rpc_retries", loss_pct, static_cast<double>(vtp.rpc_retries));
     json.row("vtp_retransmits", loss_pct, static_cast<double>(vtp.retransmits));
-    json.row("vtp_over_datagram_goodput", loss_pct,
-             dgram.ops_per_kilotick > 0 ? vtp.ops_per_kilotick / dgram.ops_per_kilotick : 0);
   }
   json.write();
   return 0;

@@ -342,8 +342,7 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
               nodes[j]->serve_once();
             }
           }
-        },
-        std::string{}, BsTransport::kVtp));
+        }));
     VNROS_CHECK(nodes[i]->init().ok());
     view.ring.add_node(static_cast<BsNodeId>(i));
     view.directory[static_cast<BsNodeId>(i)] =

@@ -51,8 +51,9 @@ std::vector<u8> bytes(const std::string& s) { return std::vector<u8>(s.begin(), 
 int main() {
   std::printf("== vnros block store: verified app on the verified OS contract ==\n\n");
 
-  // A fabric that loses 10%% of frames and duplicates 2%% — the client's
-  // retry loop and the node's idempotent operations must absorb that.
+  // A fabric that loses 10%% of frames and duplicates 2%% — the client's VTP
+  // stream retransmits below the rpc layer, and the node's idempotent
+  // operations absorb duplicated replica pushes.
   FabricConfig fabric;
   fabric.loss_ppm = 100'000;
   fabric.dup_ppm = 20'000;
@@ -72,6 +73,9 @@ int main() {
   BlockStoreClient client(client_host.sys, primary->kernel.net_addr(), 9000, [&] {
     node->serve_once();
     replica.serve_once();
+    primary->kernel.vtp().tick();
+    replica_host.kernel.vtp().tick();
+    client_host.kernel.vtp().tick();
   });
 
   // --- store some objects ---------------------------------------------------
@@ -82,7 +86,10 @@ int main() {
     auto r = client.put(key, bytes(value));
     VNROS_CHECK(r.ok());
   }
-  std::printf("  done; client needed %lu retransmissions\n", client.retries());
+  const u64 retransmits =
+      client_host.kernel.vtp().stats().retransmits + primary->kernel.vtp().stats().retransmits;
+  std::printf("  done; %lu stream retransmissions, %lu rpc retries\n", retransmits,
+              client.retries());
   std::printf("  primary stats: %lu puts, %lu replica pushes\n", node->stats().puts,
               node->stats().replicas_pushed);
 

@@ -4,11 +4,11 @@
 # src/nr/log.h falls back to per-entry release publishes under TSan, so the
 # TSan run checks the fallback path while stressing the combiner protocol).
 #
-#   ./scripts/tier1.sh [jobs]
+#   ./scripts/tier1.sh [jobs]      (jobs defaults to the host's core count)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-JOBS="${1:-2}"
+JOBS="${1:-$(nproc)}"
 
 echo "== tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
@@ -91,15 +91,13 @@ cmake --build build-tsan -j"${JOBS}" --target net_test
 ./build-tsan/tests/net_test --gtest_filter='*Vtp*'
 
 echo
-echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + chaos_churn_test) =="
+echo "== tier-1: ASan+UBSan build (full ctest) =="
 # The fault-injection and chaos paths unwind through error branches the
-# happy-path suite never touches; run them under address+UB sanitizers.
+# happy-path suite never touches, and every cluster chaos matrix drives the
+# VTP stream serve path; run the whole suite under address+UB sanitizers.
 cmake -B build-asan -S . -DVNROS_SAN=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test chaos_churn_test
-./build-asan/tests/fs_test
-./build-asan/tests/app_test
-./build-asan/tests/chaos_test
-./build-asan/tests/chaos_churn_test
+cmake --build build-asan -j"${JOBS}"
+ctest --test-dir build-asan -j"${JOBS}" --output-on-failure
 
 echo
 echo "== tier-1: UBSan build (chaos_heal_test + app_test) =="

@@ -48,6 +48,13 @@ struct Host {
   }
 };
 
+// One VTP tick on each host: client rpcs ride streams, and a stream only
+// retransmits when its stack ticks. Harness pumps call this once per poll.
+template <typename... Hosts>
+void tick_streams(Hosts&... hosts) {
+  (hosts.kernel.vtp().tick(), ...);
+}
+
 std::vector<u8> random_value(Rng& rng, usize max_len = 2000) {
   std::vector<u8> v(rng.next_range(1, max_len));
   for (auto& b : v) {
@@ -118,8 +125,10 @@ VcOutcome vc_refines_map(u64 seed, FabricConfig fabric, usize ops) {
   if (!node.init().ok()) {
     return VcOutcome::fail("server init failed");
   }
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 9000,
-                          [&] { node.serve_once(); });
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 9000, [&] {
+    node.serve_once();
+    tick_streams(server, client_host);
+  });
   if (!client.init().ok()) {
     return VcOutcome::fail("client init failed");
   }
@@ -276,6 +285,7 @@ VcOutcome vc_replication_push() {
   BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
     primary.serve_once();
     replica.serve_once();
+    tick_streams(primary_host, replica_host, client_host);
   });
   (void)client.init();
 
@@ -384,8 +394,10 @@ VcOutcome vc_anti_entropy_sync(u64 seed) {
   if (!replica.put("blk3", std::vector<u8>{0x0}).ok()) {
     return VcOutcome::fail("stale put failed");
   }
-  BlockStoreClient syncer(syncer_host.sys, primary_host.kernel.net_addr(), 9000,
-                          [&] { primary.serve_once(); });
+  BlockStoreClient syncer(syncer_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
+    primary.serve_once();
+    tick_streams(primary_host, syncer_host);
+  });
   auto repaired = syncer.sync_into(replica);
   if (!repaired.ok()) {
     return VcOutcome::fail("sync failed: " + std::string(error_name(repaired.error())));
@@ -484,6 +496,7 @@ VcOutcome vc_retry_failover() {
                           [&] {
                             n0.serve_once();
                             n1.serve_once();
+                            tick_streams(h0, h1, client_host);
                           },
                           policy);
   client.add_failover(h1.kernel.net_addr(), 9000);
@@ -527,7 +540,11 @@ VcOutcome vc_retry_transient(u64 seed) {
   policy.polls_per_attempt = 16;
   policy.backoff_base_polls = 1;
   BlockStoreClient client(client_host.sys, server_host.kernel.net_addr(), 9000,
-                          [&] { node.serve_once(); }, policy);
+                          [&] {
+                            node.serve_once();
+                            tick_streams(server_host, client_host);
+                          },
+                          policy);
   (void)client.init();
 
   FaultSpec one_shot;
@@ -551,11 +568,12 @@ VcOutcome vc_retry_transient(u64 seed) {
 // --- Cluster placement / rebalancing ---------------------------------------------
 
 // N simulated machines, each running a cluster-mode node on its own kernel,
-// sharing one fabric. Node i's pump drains every other active node, the
-// same topology the chaos harness uses, so acked replica pushes complete
-// inside a single caller poll.
+// sharing one fabric, plus a client machine. Node i's pump drains every
+// other active node, the same topology the chaos harness uses, so acked
+// replica pushes complete inside a single caller poll.
 struct MiniCluster {
   Network net;
+  Host client_host{&net};
   std::vector<std::unique_ptr<Host>> hosts;
   std::vector<std::unique_ptr<BlockStoreNode>> nodes;
   std::vector<bool> active;
@@ -606,6 +624,12 @@ struct MiniCluster {
         nodes[i]->serve_once();
       }
     }
+    for (usize i = 0; i < hosts.size(); ++i) {
+      if (active[i]) {
+        tick_streams(*hosts[i]);
+      }
+    }
+    tick_streams(client_host);
   }
   void pump_all() { pump_except(nodes.size()); }
 
@@ -633,8 +657,7 @@ struct MiniCluster {
 // placement agree exactly.
 VcOutcome vc_placement_refines(u64 seed) {
   MiniCluster c(4, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
+  BlockStoreClient client(c.client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
                           [&] { c.pump_all(); });
   (void)client.init();
   client.set_cluster(c.view);
@@ -699,8 +722,7 @@ VcOutcome vc_placement_refines(u64 seed) {
 // graceful leave, and a hinted handoff through a partition.
 VcOutcome vc_rebalance_preserves_durability(u64 seed) {
   MiniCluster c(3, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
+  BlockStoreClient client(c.client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
                           [&] { c.pump_all(); });
   (void)client.init();
   client.set_cluster(c.view);
@@ -840,8 +862,7 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
 // reappear anywhere afterwards.
 VcOutcome vc_tombstone_no_resurrection(u64 seed) {
   MiniCluster c(2, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
+  BlockStoreClient client(c.client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
                           [&] { c.pump_all(); });
   (void)client.init();
   client.set_cluster(c.view);

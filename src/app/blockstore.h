@@ -5,10 +5,10 @@
 //
 // The node is written entirely against the Sys syscall facade — the client
 // application contract of §3. It never touches kernel internals: blocks are
-// files (create/write/fsync/read/unlink), the wire is UDP sockets, and
-// durability comes from fsync before acknowledging. That is the paper's
-// whole point: with the OS contract verified below and this logic verified
-// above, the stack composes.
+// files (create/write/fsync/read/unlink), clients reach it over VTP stream
+// sockets, peers over UDP datagrams, and durability comes from fsync before
+// acknowledging. That is the paper's whole point: with the OS contract
+// verified below and this logic verified above, the stack composes.
 //
 // Abstract spec (checked by app/* VCs): the node refines the map
 // key -> bytes with operations
@@ -55,16 +55,13 @@ enum class BsOp : u8 {
   kTombstoneGc = 11, // tombstone GC: drop your tombstone for key if seq <= S
 };
 
-// Which wire the client-facing RPC plane rides. kDatagram is the original
-// UDP request/reply transport: every loss is the application's problem, paid
-// for with client timeout/retry windows. kVtp moves the client-facing plane
-// onto VTP stream connections: the transport retransmits at its own (much
-// tighter) RTO, requests/replies are length-framed on the byte stream, and
-// the node serves connections through ring-parked accept/recv SQEs. The
-// node-to-node plane (replication pushes, repair fetches, anti-entropy)
-// stays on datagrams in both modes.
+// The client-facing RPC plane rides VTP stream connections: the transport
+// retransmits at its own RTO, requests/replies are length-framed on the byte
+// stream, and the node serves connections through ring-parked accept/recv
+// SQEs. The node-to-node plane (replication pushes, repair fetches,
+// anti-entropy) rides UDP datagrams. The enum keeps its one value only
+// because existing callers still pass it to BlockStoreNode's constructor.
 enum class BsTransport : u8 {
-  kDatagram = 0,
   kVtp = 1,
 };
 
@@ -166,13 +163,14 @@ class BlockStoreNode {
   // "<prefix>/serve_delay" latency injection site: when armed with a
   // FaultSpec whose delay is nonzero, serve_once() stalls for that many
   // calls before touching its socket — a deterministic slow peer.
-  // `transport` selects the client-facing RPC plane (see BsTransport).
+  // The trailing BsTransport is unread (kept for callers that pass kVtp).
   BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers = {},
                  std::function<void()> pump = {}, std::string fault_prefix = {},
-                 BsTransport transport = BsTransport::kDatagram);
+                 BsTransport = BsTransport::kVtp);
 
-  // Creates /blocks (and /hints) and binds the service socket. Idempotent
-  // across restarts of the same filesystem (recovery path).
+  // Creates /blocks (and /hints), binds the peer datagram socket and opens
+  // the client stream listener. Idempotent across restarts of the same
+  // filesystem (recovery path).
   Result<Unit> init();
 
   // Switches the node to cluster mode: placement and replication follow
@@ -269,7 +267,6 @@ class BlockStoreNode {
                            c_tombstones_written_.value(), c_tombstones_gced_.value()};
   }
   Port port() const { return port_; }
-  BsTransport transport() const { return transport_; }
 
   // Reads one of the kernel's contract counters (e.g. "fs/fsyncs") through
   // the kstat syscall — the §3 way for the application to introspect the OS.
@@ -342,15 +339,14 @@ class BlockStoreNode {
   // Lazily creates the serve ring and keeps kServeWorkers recv SQEs parked
   // on the service socket. False when the kernel refuses (ring exhausted).
   bool ensure_serve_ring();
-  // Handles one received request datagram (the old serve_once body below the
-  // recvfrom). Replies go back through the serve ring tagged kReplyTag.
+  // Handles one received peer request datagram; the reply is sent directly.
   void process_request(NetAddr src, Port src_port, std::span<const u8> payload);
-  // The transport-independent request core: decodes one request payload,
+  // The request core shared by both planes: decodes one request payload,
   // executes it, and returns the reply bytes — or nullopt when the request
   // warrants no reply (malformed, or an unacked replica push).
   std::optional<std::vector<u8>> handle_request(std::span<const u8> payload);
 
-  // --- VTP stream serve plane (transport == kVtp) ----------------------------
+  // --- VTP stream serve plane (client connections) ---------------------------
   // One accepted client connection: inbuf reassembles [u32 len][body] frames
   // off the byte stream; outbuf holds reply bytes the transport has not yet
   // accepted (flushed every drain, closed past kVtpOutbufMax — slow consumer).
@@ -359,6 +355,7 @@ class BlockStoreNode {
     std::vector<u8> inbuf;
     std::vector<u8> outbuf;
     bool recv_armed = false;
+    bool busy = false;  // on_vtp_bytes is running this conn's frames
   };
   // Keeps the VTP listener up, one accept SQE parked (kAcceptTag), and one
   // recv SQE parked per accepted connection (kVtpConnTag | slot).
@@ -387,7 +384,6 @@ class BlockStoreNode {
 
   // Serve worker pool: a ring with a fixed complement of parked receives.
   static constexpr usize kServeWorkers = 4;
-  static constexpr u64 kReplyTag = 1ull << 63;  // user_data bit: reply sendto CQE
   static constexpr u64 kAcceptTag = 1ull << 62;    // the parked VTP accept SQE
   static constexpr u64 kVtpConnTag = 1ull << 61;   // VTP recv CQE; low bits = slot
   static constexpr usize kVtpRecvChunk = 32 * 1024;  // per-recv byte bound
@@ -398,11 +394,9 @@ class BlockStoreNode {
   static constexpr usize kVtpBacklog = 2048;
   u32 serve_ring_ = 0;        // 0 = not yet set up
   usize serve_recvs_ = 0;     // recv SQEs currently parked (<= kServeWorkers)
-  u64 next_reply_ud_ = 0;     // user_data minting for reply submissions
   u32 repair_ring_ = 0;       // dedicated ring for repair/ack RPC replies
   bool repair_recv_armed_ = false;  // one recv SQE parked on repair_sock_
 
-  BsTransport transport_ = BsTransport::kDatagram;
   Fd vtp_listener_ = kInvalidFd;
   bool accept_armed_ = false;          // one accept SQE parked on the listener
   std::map<u64, VtpServeConn> vtp_conns_;  // slot -> accepted connection
@@ -464,7 +458,7 @@ struct RetryPolicy {
 // the client have to work to get an answer? Snapshot of the client's obs
 // counters (see retry_stats()).
 struct RetryStats {
-  u64 attempts = 0;          // request datagrams sent
+  u64 attempts = 0;          // requests sent
   u64 retries = 0;           // attempts beyond the first, per rpc
   u64 backoff_polls = 0;     // pump polls spent idling in backoff
   u64 failovers = 0;         // switches to a different target
@@ -473,11 +467,14 @@ struct RetryStats {
   u64 overloads = 0;         // kOverloaded replies absorbed by backpressure
   u64 sticky_resumes = 0;    // rpcs that resumed on the last known-live target
                              // instead of re-probing a dead rotation residue
+  u64 stream_errors = 0;     // attempts cut short by a typed stream error
+                             // (reset, timeout, peer close); next one reconnects
 };
 
-// Client library: request/response over UDP with timeout + retry (the
-// fabric may drop datagrams; operations are idempotent, so at-least-once
-// retries preserve the abstract map semantics). Transient server errors
+// Client library: request/response over VTP streams with timeout + retry
+// (a stream hides fabric loss, but servers crash, reboot and get cut off;
+// operations are idempotent, so at-least-once retries preserve the abstract
+// map semantics). Transient server errors
 // (fault-injected kIoError/kNoMemory, kBusy) are retried with exponential
 // backoff + jitter; when failover targets are configured, timeouts and
 // transient errors rotate the client to the next replica.
@@ -485,12 +482,13 @@ class BlockStoreClient {
  public:
   // `pump` advances the simulated world (drives the server and the fabric)
   // between poll attempts — the simulation's stand-in for wall-clock time.
-  // `transport` must match the servers': kVtp rpcs ride one stream
-  // connection per target (lazily connected, reconnected after any terminal
-  // connection error) with [u32 len][body] framing both ways.
+  // rpcs ride one stream connection per target (lazily connected,
+  // reconnected after any terminal connection error) with [u32 len][body]
+  // framing both ways.
   BlockStoreClient(Sys& sys, NetAddr server, Port server_port, std::function<void()> pump,
-                   RetryPolicy policy = {}, BsTransport transport = BsTransport::kDatagram);
+                   RetryPolicy policy = {});
 
+  // Sets up the reply ring. Optional: rpcs set it up on demand.
   Result<Unit> init();
 
   // Adds a replica the client may rotate to when the current target times
@@ -530,7 +528,8 @@ class BlockStoreClient {
     return RetryStats{c_attempts_.value(),         c_retries_.value(),
                       c_backoff_polls_.value(),    c_failovers_.value(),
                       c_transient_errors_.value(), c_send_errors_.value(),
-                      c_overloads_.value(),        c_sticky_resumes_.value()};
+                      c_overloads_.value(),        c_sticky_resumes_.value(),
+                      c_stream_errors_.value()};
   }
   const RetryPolicy& policy() const { return policy_; }
 
@@ -547,8 +546,8 @@ class BlockStoreClient {
   Result<std::vector<u8>> rpc(BsOp op, std::string_view key, std::span<const u8> value,
                               u64* seq_out = nullptr);
 
-  // One VTP stream to a server (transport == kVtp): the connection plus the
-  // reassembly buffer for reply frames that arrived on it.
+  // One VTP stream to a server: the connection plus the reassembly buffer
+  // for reply frames that arrived on it.
   struct VtpChan {
     Fd fd = kInvalidFd;
     std::vector<u8> inbuf;
@@ -567,12 +566,10 @@ class BlockStoreClient {
   std::function<void()> pump_;
   RetryPolicy policy_;
   Rng rng_{0xC11E47ull};  // jitter; fixed seed keeps runs replayable
-  Fd sock_ = kInvalidFd;
-  u32 ring_ = 0;             // reply ring: one recv SQE parked on sock_
-  bool recv_armed_ = false;  // armed only after the first send binds sock_
-  BsTransport transport_ = BsTransport::kDatagram;
-  std::map<std::pair<NetAddr, Port>, VtpChan> chans_;  // kVtp: conn per target
-  std::pair<NetAddr, Port> armed_chan_{};  // target the parked vtp recv is on
+  u32 ring_ = 0;             // reply ring: one vtp_recv SQE parked on a chan
+  bool recv_armed_ = false;
+  std::map<std::pair<NetAddr, Port>, VtpChan> chans_;  // one conn per target
+  Fd armed_fd_ = kInvalidFd;  // fd the parked vtp recv reads
   u64 next_req_id_ = 1;
   u64 put_seq_ = 0;  // write-sequence stamp: orders this client's puts per key
                      // across replicas (apply-if-newer on every server path)
@@ -589,6 +586,7 @@ class BlockStoreClient {
   Counter& c_send_errors_;
   Counter& c_overloads_;
   Counter& c_sticky_resumes_;
+  Counter& c_stream_errors_;
   Histogram& h_rpc_polls_;
   const u32 span_rpc_;
 };

@@ -27,8 +27,7 @@ constexpr usize kChanRecvChunk = 32 * 1024;
 }  // namespace
 
 BlockStoreClient::BlockStoreClient(Sys& sys, NetAddr server, Port server_port,
-                                   std::function<void()> pump, RetryPolicy policy,
-                                   BsTransport transport)
+                                   std::function<void()> pump, RetryPolicy policy)
     : sys_(sys),
       pump_(std::move(pump)),
       policy_(policy),
@@ -41,9 +40,9 @@ BlockStoreClient::BlockStoreClient(Sys& sys, NetAddr server, Port server_port,
       c_send_errors_(ObsRegistry::global().counter(obs_prefix_ + "send_errors")),
       c_overloads_(ObsRegistry::global().counter(obs_prefix_ + "overloads")),
       c_sticky_resumes_(ObsRegistry::global().counter(obs_prefix_ + "sticky_resumes")),
+      c_stream_errors_(ObsRegistry::global().counter(obs_prefix_ + "stream_errors")),
       h_rpc_polls_(ObsRegistry::global().histogram(obs_prefix_ + "rpc_polls")),
-      span_rpc_(ObsRegistry::global().tracer().intern_site("bs/rpc")),
-      transport_(transport) {
+      span_rpc_(ObsRegistry::global().tracer().intern_site("bs/rpc")) {
   targets_.push_back(BsPeer{server, server_port});
 }
 
@@ -77,13 +76,13 @@ void BlockStoreClient::drop_vtp_chan(const BsPeer& peer) {
 }
 
 Result<Unit> BlockStoreClient::init() {
-  auto sock = sys_.udp_socket();
-  if (!sock.ok()) {
-    return sock.error();
+  if (ring_ == 0) {
+    auto r = sys_.ring_setup(/*sq_slots=*/4, /*cq_slots=*/8);
+    if (!r.ok()) {
+      return r.error();
+    }
+    ring_ = r.value();
   }
-  sock_ = sock.value();
-  // First send auto-binds an ephemeral port; recvfrom needs a bound socket,
-  // so bind eagerly by sending a ping during the first rpc instead.
   return Unit{};
 }
 
@@ -101,12 +100,6 @@ bool BlockStoreClient::transient(ErrorCode err) {
 
 Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
                                               std::span<const u8> value, u64* seq_out) {
-  if (sock_ == kInvalidFd) {
-    auto r = init();  // lazy socket creation: init() is optional for callers
-    if (!r.ok()) {
-      return r.error();
-    }
-  }
   SpanScope span(ObsRegistry::global().tracer(), span_rpc_);
   u64 req_id = next_req_id_++;
   Writer w;
@@ -181,62 +174,11 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     }
     ++polls_used;
   };
-  // Reply await rides the client's ring: one recv SQE stays parked on sock_
-  // (armed only after the first send auto-binds it) and each poll reaps
-  // completions instead of spinning on recvfrom.
-  auto arm_recv = [&]() -> bool {
-    if (recv_armed_) {
-      return true;
-    }
-    if (ring_ == 0) {
-      auto r = sys_.ring_setup(/*sq_slots=*/4, /*cq_slots=*/8);
-      if (!r.ok()) {
-        return false;
-      }
-      ring_ = r.value();
-    }
-    RingSqe sqe{req_id, static_cast<u32>(SysNr::kUdpRecvFrom), ring_args::udp_recvfrom(sock_)};
-    auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
-    if (!acc.ok()) {
-      if (acc.error() == ErrorCode::kNotFound) {
-        ring_ = 0;  // ring torn down (process state rebuilt): recreate
-      }
-      return false;
-    }
-    if (acc.value() != 1) {
-      return false;
-    }
-    recv_armed_ = true;
-    return true;
-  };
-  // The reply datagram's payload, if a completion was ready this poll. At
-  // most one recv is ever parked, so at most one reply per reap.
-  auto reap_reply = [&]() -> std::optional<std::vector<u8>> {
-    auto cqes = sys_.ring_wait(ring_, 0, 4);
-    if (!cqes.ok()) {
-      return std::nullopt;
-    }
-    for (RingCqe& cqe : cqes.value()) {
-      recv_armed_ = false;  // the CQE consumed the parked recv
-      if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
-        continue;
-      }
-      Reader dg(cqe.payload);
-      auto src = dg.get_u32();
-      auto sport = dg.get_u16();
-      auto payload = dg.get_bytes();
-      if (!src || !sport || !payload) {
-        continue;
-      }
-      return std::move(*payload);
-    }
-    return std::nullopt;
-  };
-  // --- Stream transport (kVtp). One connection per target, [u32 len][body]
-  // frames both ways; the reply await still rides the ring (one vtp_recv SQE
-  // parked on the active target's stream). The transport retransmits lost
-  // segments itself, so loss is paid at the stream's RTO instead of this
-  // loop's full attempt timeout.
+  // Requests ride one VTP stream per target, [u32 len][body] frames both
+  // ways; the reply await rides the client's ring (one vtp_recv SQE parked
+  // on the active target's stream). The transport retransmits lost segments
+  // itself, so loss is paid at the stream's RTO instead of this loop's full
+  // attempt timeout.
   auto chan_key = [](const BsPeer& p) { return std::make_pair(p.addr, p.port); };
   auto pop_frame = [](VtpChan& ch) -> std::optional<std::vector<u8>> {
     if (ch.inbuf.size() < 4) {
@@ -253,7 +195,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
                    ch.inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
     return body;
   };
-  auto vtp_send_request = [&](const BsPeer& target) -> ErrorCode {
+  auto send_request = [&](const BsPeer& target) -> ErrorCode {
     VtpChan* ch = vtp_chan(target);
     if (ch == nullptr) {
       return ErrorCode::kBusy;  // connect refused locally (fd/port pressure)
@@ -278,18 +220,29 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     }
     return rest.empty() ? ErrorCode::kOk : ErrorCode::kWouldBlock;
   };
-  auto vtp_poll_reply = [&](const BsPeer& target) -> std::optional<std::vector<u8>> {
-    // Reap ring completions into whichever chan the recv was parked on.
+  // One poll of `target`'s stream: a whole reply frame, kWouldBlock while
+  // none is buffered yet, or the typed error that killed the stream.
+  auto poll_reply = [&](const BsPeer& target) -> Result<std::vector<u8>> {
+    ErrorCode died = ErrorCode::kNotConnected;
+    // Reap ring completions into whichever chan now holds the fd the recv
+    // was parked on. The parked op runs and is reaped inside one ring_wait,
+    // so the fd's current holder is the conn it read from — even when a
+    // dropped chan's fd number was reused by a reconnect in the meantime.
     if (ring_ != 0) {
       auto cqes = sys_.ring_wait(ring_, 0, 4);
       if (cqes.ok()) {
         for (RingCqe& cqe : cqes.value()) {
           recv_armed_ = false;
-          auto armed = chans_.find(armed_chan_);
+          auto armed = std::find_if(chans_.begin(), chans_.end(),
+                                    [&](const auto& c) { return c.second.fd == armed_fd_; });
           if (armed == chans_.end()) {
             continue;  // chan dropped while the recv was parked
           }
-          if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+          ErrorCode err = static_cast<ErrorCode>(cqe.err);
+          if (err != ErrorCode::kOk) {
+            if (armed->first == chan_key(target)) {
+              died = err;
+            }
             (void)sys_.vtp_close(armed->second.fd);
             chans_.erase(armed);  // stream died under the parked recv
             continue;
@@ -307,28 +260,20 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     }
     auto it = chans_.find(chan_key(target));
     if (it == chans_.end()) {
-      return std::nullopt;
+      return died;
     }
     // Park a recv on the active stream. If the single ring slot is still
     // occupied by another target's stream (failover mid-park — there is no
     // cancel), read this one directly until that completion drains.
-    bool parked_here = recv_armed_ && armed_chan_ == chan_key(target);
-    if (!recv_armed_) {
-      if (ring_ == 0) {
-        auto r = sys_.ring_setup(/*sq_slots=*/4, /*cq_slots=*/8);
-        if (r.ok()) {
-          ring_ = r.value();
-        }
-      }
-      if (ring_ != 0) {
-        RingSqe sqe{req_id, static_cast<u32>(SysNr::kVtpRecv),
-                    ring_args::vtp_recv(it->second.fd, kChanRecvChunk)};
-        auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
-        if (acc.ok() && acc.value() == 1) {
-          recv_armed_ = true;
-          armed_chan_ = chan_key(target);
-          parked_here = true;
-        }
+    bool parked_here = recv_armed_ && armed_fd_ == it->second.fd;
+    if (!recv_armed_ && init().ok()) {
+      RingSqe sqe{req_id, static_cast<u32>(SysNr::kVtpRecv),
+                  ring_args::vtp_recv(it->second.fd, kChanRecvChunk)};
+      auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
+      if (acc.ok() && acc.value() == 1) {
+        recv_armed_ = true;
+        armed_fd_ = it->second.fd;
+        parked_here = true;
       }
     }
     if (!parked_here) {
@@ -339,10 +284,13 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
       } else if (got.error() != ErrorCode::kWouldBlock) {
         (void)sys_.vtp_close(it->second.fd);
         chans_.erase(it);
-        return std::nullopt;
+        return got.error();
       }
     }
-    return pop_frame(it->second);
+    if (auto frame = pop_frame(it->second)) {
+      return std::move(*frame);
+    }
+    return ErrorCode::kWouldBlock;
   };
   auto deadline_hit = [&] {
     return policy_.deadline_polls != 0 && polls_used >= policy_.deadline_polls;
@@ -406,13 +354,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     c_attempts_.inc();
     overload_wait = false;
     const BsPeer& target = route[idx];
-    ErrorCode send_err = ErrorCode::kOk;
-    if (transport_ == BsTransport::kVtp) {
-      send_err = vtp_send_request(target);
-    } else {
-      auto sent = sys_.udp_sendto(sock_, target.addr, target.port, w.bytes());
-      send_err = sent.ok() ? ErrorCode::kOk : sent.error();
-    }
+    ErrorCode send_err = send_request(target);
     if (send_err != ErrorCode::kOk) {
       // Local send failure (e.g. injected syscall fault): count it, back
       // off, and retry — the op has definitely not reached any server.
@@ -423,31 +365,24 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     }
     bool transient_reply = false;
     for (usize poll = 0; poll < policy_.polls_per_attempt; ++poll) {
-      std::optional<std::vector<u8>> reply;
-      if (transport_ == BsTransport::kVtp) {
-        pump_once();
-        reply = vtp_poll_reply(target);
-      } else {
-        bool armed = arm_recv();
-        pump_once();
-        if (armed) {
-          reply = reap_reply();
-        } else {
-          // Ring unavailable (exhausted kernel table): degrade to the direct
-          // recvfrom so the rpc still makes progress.
-          auto dg = sys_.udp_recvfrom(sock_);
-          if (dg.ok()) {
-            reply = std::move(dg.value().payload);
-          }
-        }
+      pump_once();
+      auto reply = poll_reply(target);
+      if (!reply.ok() && reply.error() != ErrorCode::kWouldBlock) {
+        // The stream died under the request (e.g. the server rebooted and
+        // its new kernel reset the stale connection): end the attempt now
+        // instead of waiting out its window; the next attempt reconnects.
+        c_stream_errors_.inc();
+        last_err = reply.error();
+        transient_reply = true;
+        break;
       }
-      if (!reply) {
+      if (!reply.ok()) {
         if (deadline_hit()) {
           break;
         }
         continue;
       }
-      Reader r(*reply);
+      Reader r(reply.value());
       auto rid = r.get_u64();
       auto err = r.get_u32();
       auto payload = r.get_bytes();

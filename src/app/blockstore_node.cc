@@ -118,12 +118,11 @@ std::string BlockStoreNode::key_path(std::string_view key) {
 
 BlockStoreNode::BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers,
                                std::function<void()> pump, std::string fault_prefix,
-                               BsTransport transport)
+                               BsTransport)
     : sys_(sys),
       port_(port),
       peers_(std::move(peers)),
       pump_(std::move(pump)),
-      transport_(transport),
       obs_prefix_(ObsRegistry::global().instance_prefix("bs")),
       c_puts_(ObsRegistry::global().counter(obs_prefix_ + "puts")),
       c_gets_(ObsRegistry::global().counter(obs_prefix_ + "gets")),
@@ -166,10 +165,10 @@ Result<Unit> BlockStoreNode::init() {
   if (!bound.ok()) {
     return bound.error();
   }
-  if (transport_ == BsTransport::kVtp && vtp_listener_ == kInvalidFd) {
+  if (vtp_listener_ == kInvalidFd) {
     // The client-facing stream plane listens on the same port number as the
-    // datagram socket (different protocol, no clash). Eager, so clients can
-    // connect before the first serve_once arms the accept SQE.
+    // peer datagram socket (different protocol, no clash). Eager, so clients
+    // can connect before the first serve_once arms the accept SQE.
     auto l = sys_.vtp_listen(port_, kVtpBacklog);
     if (!l.ok()) {
       return l.error();
@@ -1036,9 +1035,9 @@ bool BlockStoreNode::ensure_serve_ring() {
     serve_recvs_ = 0;
   }
   // Keep the worker complement parked: each recv SQE is one serve worker
-  // waiting in the kernel for a request datagram. One batched submit — every
-  // ring_submit runs a reactor pass over all parked SQEs, which the stream
-  // plane can grow to thousands.
+  // waiting in the kernel for a peer request datagram. One batched submit —
+  // every ring_submit runs a reactor pass over all parked SQEs, which the
+  // stream plane can grow to thousands.
   if (serve_recvs_ < kServeWorkers) {
     std::vector<RingSqe> batch;
     for (usize w = serve_recvs_; w < kServeWorkers; ++w) {
@@ -1086,9 +1085,6 @@ bool BlockStoreNode::serve_once() {
   }
   usize served = 0;
   for (RingCqe& cqe : cqes.value()) {
-    if ((cqe.user_data & kReplyTag) != 0) {
-      continue;  // a reply sendto completed: nothing to do
-    }
     if ((cqe.user_data & kAcceptTag) != 0) {
       // The parked VTP accept resolved: adopt the connection and let the
       // re-arm pass below park a recv SQE on it (plus a fresh accept).
@@ -1158,25 +1154,14 @@ void BlockStoreNode::process_request(NetAddr src, Port src_port,
   if (!reply) {
     return;
   }
-  // On the stream plane only node-to-node datagrams reach this path, and the
-  // serve ring carries a parked recv per client connection — a per-reply
-  // ring_submit would pay a reactor pass over all of them. Send directly.
-  if (transport_ == BsTransport::kVtp) {
-    (void)sys_.udp_sendto(sock_, src, src_port, *reply);
-    return;
-  }
-  // Replies ride the serve ring too (tagged so their completions are
-  // discarded on reap); a full SQ falls back to the direct send.
-  RingSqe sqe{kReplyTag | next_reply_ud_++, static_cast<u32>(SysNr::kUdpSendTo),
-              ring_args::udp_sendto(sock_, src, src_port, *reply)};
-  auto acc = sys_.ring_submit(serve_ring_, std::span<const RingSqe>(&sqe, 1));
-  if (!acc.ok() || acc.value() != 1) {
-    (void)sys_.udp_sendto(sock_, src, src_port, *reply);
-  }
+  // Send directly: the serve ring carries a parked recv per client
+  // connection, so a per-reply ring_submit would pay a reactor pass over
+  // all of them.
+  (void)sys_.udp_sendto(sock_, src, src_port, *reply);
 }
 
 void BlockStoreNode::ensure_vtp_serve() {
-  if (transport_ != BsTransport::kVtp || serve_ring_ == 0) {
+  if (serve_ring_ == 0) {
     return;
   }
   if (vtp_listener_ == kInvalidFd) {
@@ -1226,30 +1211,53 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
   if (it == vtp_conns_.end()) {
     return 0;
   }
-  VtpServeConn& conn = it->second;
-  conn.inbuf.insert(conn.inbuf.end(), bytes.begin(), bytes.end());
+  it->second.inbuf.insert(it->second.inbuf.end(), bytes.begin(), bytes.end());
+  if (it->second.busy) {
+    // A request from this conn is still executing further up the stack and
+    // its pump re-entered serve_once: the outer frame loop below picks these
+    // bytes up next, so replies keep request order.
+    return 0;
+  }
+  it->second.busy = true;
   // Reassemble [u32 len][body] frames off the stream; each complete body is
-  // one request, its reply framed back onto the same stream.
+  // one request, its reply framed back onto the same stream. handle_request
+  // may pump the world (replica acks, read repair), and the pump may
+  // re-enter serve_once and append to or close this very conn — so each
+  // frame is copied out before it runs and the conn is looked up afresh.
   usize served = 0;
-  usize off = 0;
-  while (conn.inbuf.size() - off >= 4) {
-    Reader fr(std::span<const u8>(conn.inbuf.data() + off, 4));
+  while (true) {
+    it = vtp_conns_.find(slot);
+    if (it == vtp_conns_.end()) {
+      return served;
+    }
+    std::vector<u8>& inbuf = it->second.inbuf;
+    if (inbuf.size() < 4) {
+      break;
+    }
+    Reader fr(std::span<const u8>(inbuf.data(), 4));
     u32 len = fr.get_u32().value_or(0);
-    if (conn.inbuf.size() - off - 4 < len) {
+    if (inbuf.size() - 4 < len) {
       break;  // incomplete frame: wait for more stream bytes
     }
-    auto reply = handle_request(std::span<const u8>(conn.inbuf.data() + off + 4, len));
-    off += 4 + len;
+    auto frame_end = inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len);
+    std::vector<u8> request(inbuf.begin() + 4, frame_end);
+    inbuf.erase(inbuf.begin(), frame_end);
+    auto reply = handle_request(request);
     ++served;
+    it = vtp_conns_.find(slot);
+    if (it == vtp_conns_.end()) {
+      return served;
+    }
     if (reply) {
       Writer fw;
       fw.put_u32(static_cast<u32>(reply->size()));
-      conn.outbuf.insert(conn.outbuf.end(), fw.bytes().begin(), fw.bytes().end());
-      conn.outbuf.insert(conn.outbuf.end(), reply->begin(), reply->end());
+      std::vector<u8>& outbuf = it->second.outbuf;
+      outbuf.insert(outbuf.end(), fw.bytes().begin(), fw.bytes().end());
+      outbuf.insert(outbuf.end(), reply->begin(), reply->end());
     }
   }
-  conn.inbuf.erase(conn.inbuf.begin(),
-                   conn.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
+  VtpServeConn& conn = it->second;
+  conn.busy = false;
   vtp_flush(conn);
   if (conn.fd != kInvalidFd && conn.outbuf.size() > kVtpOutbufMax) {
     close_vtp_conn(slot);  // slow consumer: bounded memory beats unbounded queue

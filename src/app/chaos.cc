@@ -139,7 +139,7 @@ class ChaosRunner {
     boot_cluster();
 
     // Arm the span tracer on the client kernel's virtual clock for the whole
-    // schedule: spans (blockstore RPCs, fs journal commits, RTP retransmits)
+    // schedule: spans (blockstore RPCs, fs journal commits, VTP retransmits)
     // replay bit-identically from the seed like everything else.
     SpanTracer& tracer = ObsRegistry::global().tracer();
     const u64 spans_before = tracer.recorded();
@@ -311,6 +311,7 @@ class ChaosRunner {
         slot.node->serve_once();
       }
     }
+    tick_streams();
   }
 
   void pump_except(usize skip) {
@@ -319,6 +320,20 @@ class ChaosRunner {
       if (j != skip && slots_[j].node) {
         slots_[j].node->serve_once();
       }
+    }
+    tick_streams();
+  }
+
+  // One VTP tick on every host: client rpcs ride streams, and a stream only
+  // retransmits (across loss, partitions and reboots) when its stack ticks.
+  void tick_streams() {
+    for (auto& slot : slots_) {
+      if (slot.host) {
+        slot.host->kernel.vtp().tick();
+      }
+    }
+    if (client_host_) {
+      client_host_->kernel.vtp().tick();
     }
   }
 
@@ -874,7 +889,7 @@ class ChaosRunner {
     flaps_.clear();        // heal_all() flattened the storms
     slow_until_.clear();   // disarm_all() ended the spells
     for (int i = 0; i < 256; ++i) {
-      pump_all();  // drain every in-flight datagram through the servers
+      pump_all();  // drain every in-flight frame through the servers
     }
     if (cfg_.cluster) {
       // Hinted-handoff convergence: with the fabric healed, a few delivery

@@ -1,7 +1,6 @@
-// VTP — the Verified Transport Protocol: the stream-socket promotion of RTP.
-//
-// Where RTP stops at Go-Back-N with a fixed window, VTP carries the full
-// connection-oriented contract the Sys socket surface exposes:
+// VTP — the Verified Transport Protocol: the kernel's reliable stream
+// transport. It carries the full connection-oriented contract the Sys socket
+// surface exposes:
 //   - listen with a bounded backlog + accept queue; SYNs past the backlog are
 //     shed with a typed kOverloaded RST (visible at the connecting end);
 //   - a three-way handshake whose SYN retransmits are budgeted — exhaustion
@@ -14,7 +13,7 @@
 //     past it, multiplicative decrease (and a fresh ssthresh) on RTO loss;
 //   - selective cumulative-ACK retransmission: only the segment at snd_una is
 //     resent on timeout, out-of-order arrivals are buffered for reassembly
-//     instead of dropped (RTP's receiver discards gaps).
+//     instead of dropped.
 //
 // Spec (net/vtp_* VCs, src/spec/pipe.h): each direction of every connection
 // refines a reliable FIFO pipe — the byte sequence delivered to the receiving

@@ -7,7 +7,8 @@
 // against the pushed stream at the instant it is popped (safety), and at
 // quiesce the streams are complete (liveness). Window safety and the
 // handshake contract (backlog shedding with typed kOverloaded, SYN-retry
-// exhaustion with typed kTimedOut) are pinned by their own VCs.
+// exhaustion with typed kTimedOut, no duplicate accept from a duplicated
+// SYN) and per-connection stream isolation are pinned by their own VCs.
 #include "src/net/vcs.h"
 
 #include <string>
@@ -346,6 +347,77 @@ VcOutcome vc_vtp_syn_timeout_typed() {
   return VcOutcome::pass();
 }
 
+// Retransmitted or duplicated SYNs never spawn a second server connection.
+VcOutcome vc_vtp_duplicate_syn_safe() {
+  FabricConfig config;
+  config.dup_ppm = 300'000;
+  VtpPair pair(config);
+  (void)pair.vtp_b.listen(80);
+  auto c = pair.vtp_a.connect(pair.dev_b.addr(), 80, 1234);
+  if (!c.ok()) {
+    return VcOutcome::fail("connect failed");
+  }
+  pair.pump(200);
+  if (!pair.vtp_b.accept(80).ok()) {
+    return VcOutcome::fail("no connection accepted");
+  }
+  if (pair.vtp_b.accept(80).ok()) {
+    return VcOutcome::fail("duplicate SYN spawned a second connection");
+  }
+  return VcOutcome::pass();
+}
+
+// Two clients to one listener: each accepted connection carries exactly its
+// own client's bytes.
+VcOutcome vc_vtp_two_clients_isolated() {
+  Network net;
+  NetDevice& ds = net.attach();
+  NetDevice& dc1 = net.attach();
+  NetDevice& dc2 = net.attach();
+  IpStack ip_s(ds), ip_c1(dc1), ip_c2(dc2);
+  VirtualClock clock;
+  VtpStack server(ip_s, clock), c1(ip_c1, clock), c2(ip_c2, clock);
+  auto tick_all = [&] {
+    server.tick();
+    c1.tick();
+    c2.tick();
+  };
+  (void)server.listen(80);
+  auto conn1 = c1.connect(ds.addr(), 80, 1111);
+  auto conn2 = c2.connect(ds.addr(), 80, 2222);
+  if (!conn1.ok() || !conn2.ok()) {
+    return VcOutcome::fail("connect failed");
+  }
+  std::vector<ConnId> accepted;
+  for (int i = 0; i < 600 && accepted.size() < 2; ++i) {
+    tick_all();
+    if (auto a = server.accept(80)) {
+      accepted.push_back(a.value());
+    }
+  }
+  if (accepted.size() != 2) {
+    return VcOutcome::fail("second connection never accepted");
+  }
+  (void)c1.send(conn1.value(), string_bytes("from-one"));
+  (void)c2.send(conn2.value(), string_bytes("from-two"));
+  std::string got1, got2;
+  for (int i = 0; i < 600 && (got1.size() < 8 || got2.size() < 8); ++i) {
+    tick_all();
+    if (auto r = server.recv(accepted[0], 64)) {
+      got1.append(r.value().begin(), r.value().end());
+    }
+    if (auto r = server.recv(accepted[1], 64)) {
+      got2.append(r.value().begin(), r.value().end());
+    }
+  }
+  bool ok = (got1 == "from-one" && got2 == "from-two") ||
+            (got1 == "from-two" && got2 == "from-one");
+  if (!ok) {
+    return VcOutcome::fail("streams mixed across connections: '" + got1 + "' / '" + got2 + "'");
+  }
+  return VcOutcome::pass();
+}
+
 }  // namespace
 
 void register_vtp_vcs(VcRegistry& reg) {
@@ -384,6 +456,10 @@ void register_vtp_vcs(VcRegistry& reg) {
           [] { return vc_vtp_backlog_typed_overload(); });
   reg.add("net/vtp_syn_timeout_typed", VcCategory::kNetworkStack,
           [] { return vc_vtp_syn_timeout_typed(); });
+  reg.add("net/vtp_duplicate_syn_safe", VcCategory::kNetworkStack,
+          [] { return vc_vtp_duplicate_syn_safe(); });
+  reg.add("net/vtp_two_clients_isolated", VcCategory::kNetworkStack,
+          [] { return vc_vtp_two_clients_isolated(); });
 }
 
 }  // namespace vnros

@@ -2,6 +2,8 @@
 // retries, crash recovery and replication.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "src/app/anti_entropy.h"
@@ -10,6 +12,7 @@
 #include "src/base/rng.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall.h"
+#include "src/net/vtp.h"
 
 namespace vnros {
 namespace {
@@ -22,15 +25,18 @@ struct Host {
   Pid pid;
   Sys sys;
 
-  explicit Host(Network* net, BlockDevice* disk = nullptr, bool recover = false)
-      : kernel(config_of(net, disk, recover)), disp(kernel), pid(spawn(disp)),
+  explicit Host(Network* net, BlockDevice* disk = nullptr, bool recover = false,
+                std::optional<LinkAddr> addr = std::nullopt)
+      : kernel(config_of(net, disk, recover, addr)), disp(kernel), pid(spawn(disp)),
         sys(disp, pid, 0) {}
 
-  static KernelConfig config_of(Network* net, BlockDevice* disk, bool recover) {
+  static KernelConfig config_of(Network* net, BlockDevice* disk, bool recover,
+                                std::optional<LinkAddr> addr) {
     KernelConfig c;
     c.network = net;
     c.disk = disk;
     c.recover_fs = recover;
+    c.link_addr = addr;
     return c;
   }
 
@@ -41,6 +47,13 @@ struct Host {
     return p.value();
   }
 };
+
+// One VTP tick on each host: client rpcs ride streams, and a stream only
+// retransmits when its stack ticks. Client pumps call this once per poll.
+template <typename... Hosts>
+void tick_streams(Hosts&... hosts) {
+  (hosts.kernel.vtp().tick(), ...);
+}
 
 TEST(BlockStoreNodeTest, KeyPathIsHexEncoded) {
   EXPECT_EQ(BlockStoreNode::key_path("ab"), "/blocks/6162");
@@ -144,79 +157,18 @@ TEST(BlockStoreNodeTest, FaultMidPutPreservesAckedValue) {
   faults.disarm_all();
 }
 
+// The node serves framed requests from ring-parked stream recvs; the client
+// multiplexes replies off a per-target VTP connection.
 TEST(BlockStoreWireTest, EndToEndOverFabric) {
   Network net;
   Host server(&net);
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
-  ASSERT_TRUE(client.init().ok());
-
-  ASSERT_TRUE(client.ping().ok());
-  ASSERT_TRUE(client.put("wire-key", bytes("wire-value")).ok());
-  EXPECT_EQ(client.get("wire-key").value(), bytes("wire-value"));
-  EXPECT_EQ(client.get("missing").error(), ErrorCode::kNotFound);
-  ASSERT_TRUE(client.del("wire-key").ok());
-  EXPECT_EQ(client.get("wire-key").error(), ErrorCode::kNotFound);
-  EXPECT_EQ(client.retries(), 0u);  // clean fabric: no retries needed
-}
-
-TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
-  // One value bigger than a typical MTU still works (our fabric has no MTU,
-  // but the protocol must length-frame correctly).
-  Network net;
-  Host server(&net);
-  Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000);
-  ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
-  std::vector<u8> big(100'000);
-  Rng rng(5);
-  for (auto& b : big) {
-    b = static_cast<u8>(rng.next_u64());
-  }
-  ASSERT_TRUE(client.put("big", big).ok());
-  EXPECT_EQ(client.get("big").value(), big);
-}
-
-TEST(BlockStoreWireTest, RetriesSurviveLoss) {
-  FabricConfig fabric;
-  fabric.loss_ppm = 300'000;  // 30% loss
-  Network net(fabric, 77);
-  Host server(&net);
-  Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000);
-  ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
-  for (int i = 0; i < 10; ++i) {
-    std::string key = "k" + std::to_string(i);
-    ASSERT_TRUE(client.put(key, bytes(key + "-value")).ok()) << key;
-    EXPECT_EQ(client.get(key).value(), bytes(key + "-value"));
-  }
-  EXPECT_GT(client.retries(), 0u);  // loss must have forced retries
-}
-
-// The same wire protocol, carried over VTP streams instead of datagrams:
-// the node serves framed requests from ring-parked stream recvs, the client
-// multiplexes replies off a per-target connection.
-TEST(BlockStoreWireTest, StreamTransportEndToEnd) {
-  Network net;
-  Host server(&net);
-  Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000, {}, {}, {}, BsTransport::kVtp);
-  ASSERT_TRUE(node.init().ok());
-  EXPECT_EQ(node.transport(), BsTransport::kVtp);
-  auto pump = [&] {
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
     node.serve_once();
-    server.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump,
-                          RetryPolicy{}, BsTransport::kVtp);
+    tick_streams(server, client_host);
+  });
   ASSERT_TRUE(client.init().ok());
 
   ASSERT_TRUE(client.ping().ok());
@@ -228,6 +180,56 @@ TEST(BlockStoreWireTest, StreamTransportEndToEnd) {
   EXPECT_EQ(client.retries(), 0u);  // clean fabric: one stream, no retries
 }
 
+// Every rpc to one target rides the same stream: the client opens one
+// connection and the node accepts exactly one, however many rpcs follow.
+TEST(BlockStoreWireTest, StreamTransportEndToEnd) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
+    node.serve_once();
+    tick_streams(server, client_host);
+  });
+  for (int i = 0; i < 20; ++i) {
+    std::string key = "s" + std::to_string(i);
+    ASSERT_TRUE(client.put(key, bytes(key)).ok()) << key;
+    EXPECT_EQ(client.get(key).value(), bytes(key)) << key;
+  }
+  EXPECT_EQ(client_host.kernel.vtp().stats().conns_opened, 1u);
+  EXPECT_EQ(server.kernel.vtp().stats().conns_opened, 1u);
+  EXPECT_EQ(client.retries(), 0u);
+}
+
+// Values sized at the segment and window edges: each frame crosses as many
+// datagrams as its size needs and comes back byte-identical.
+TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
+    node.serve_once();
+    tick_streams(server, client_host);
+  });
+  Rng rng(5);
+  for (usize size : {VtpStack::kMss - 1, VtpStack::kMss, VtpStack::kMss + 1,
+                     VtpStack::kRcvWindow - 1, VtpStack::kRcvWindow + 1}) {
+    std::vector<u8> value(size);
+    for (auto& b : value) {
+      b = static_cast<u8>(rng.next_u64());
+    }
+    u64 before = client_host.kernel.vtp().stats().segments_tx;
+    std::string key = "v" + std::to_string(size);
+    ASSERT_TRUE(client.put(key, value).ok()) << size;
+    EXPECT_GE(client_host.kernel.vtp().stats().segments_tx - before, size / VtpStack::kMss)
+        << size;
+    EXPECT_EQ(client.get(key).value(), value) << size;
+  }
+}
+
 TEST(BlockStoreWireTest, StreamTransportLargeValue) {
   // A value far bigger than the stream's MSS and receive window: the
   // transport segments it, the node reassembles the [len][body] frame
@@ -235,15 +237,12 @@ TEST(BlockStoreWireTest, StreamTransportLargeValue) {
   Network net;
   Host server(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000, {}, {}, {}, BsTransport::kVtp);
+  BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  auto pump = [&] {
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
     node.serve_once();
-    server.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump,
-                          RetryPolicy{}, BsTransport::kVtp);
+    tick_streams(server, client_host);
+  });
   std::vector<u8> big(100'000);
   Rng rng(6);
   for (auto& b : big) {
@@ -262,15 +261,12 @@ TEST(BlockStoreWireTest, StreamTransportSurvivesLoss) {
   Network net(fabric, 78);
   Host server(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000, {}, {}, {}, BsTransport::kVtp);
+  BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  auto pump = [&] {
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
     node.serve_once();
-    server.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump,
-                          RetryPolicy{}, BsTransport::kVtp);
+    tick_streams(server, client_host);
+  });
   for (int i = 0; i < 25; ++i) {
     std::string key = "k" + std::to_string(i);
     ASSERT_TRUE(client.put(key, bytes(key + "-value")).ok()) << key;
@@ -279,6 +275,28 @@ TEST(BlockStoreWireTest, StreamTransportSurvivesLoss) {
   EXPECT_GT(server.kernel.vtp().stats().retransmits +
                 client_host.kernel.vtp().stats().retransmits,
             0u);  // the transport, not the rpc loop, absorbed the loss
+}
+
+// Loss heavy enough that some rpcs outlive their attempt timeout: the
+// client's RetryPolicy re-sends them over the stream, and every op succeeds.
+TEST(BlockStoreWireTest, RetriesSurviveLoss) {
+  FabricConfig fabric;
+  fabric.loss_ppm = 300'000;  // 30% loss
+  Network net(fabric, 77);
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
+    node.serve_once();
+    tick_streams(server, client_host);
+  });
+  for (int i = 0; i < 10; ++i) {
+    std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(client.put(key, bytes(key + "-value")).ok()) << key;
+    EXPECT_EQ(client.get(key).value(), bytes(key + "-value")) << key;
+  }
+  EXPECT_GT(client.retries(), 0u);  // loss must have forced retries
 }
 
 TEST(BlockStoreCrashTest, AckedPutsSurviveReboot) {
@@ -296,6 +314,42 @@ TEST(BlockStoreCrashTest, AckedPutsSurviveReboot) {
   BlockStoreNode node(rebooted.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   EXPECT_EQ(node.get("persist-me").value(), bytes("durable"));
+}
+
+// A client's stream outlives its server's kernel: after a dirty crash and a
+// remount at the same fabric address, the stale connection fails fast with
+// the new kernel's typed reset (not a timeout), and the same client object
+// reconnects and reads back the bytes acked before the crash.
+TEST(BlockStoreCrashTest, ClientStreamSurvivesServerReboot) {
+  Network net;
+  BlockDevice disk(16384, 0xB007);
+  auto server = std::make_unique<Host>(&net, &disk);
+  const LinkAddr addr = server->kernel.net_addr();
+  auto node = std::make_unique<BlockStoreNode>(server->sys, 7000);
+  ASSERT_TRUE(node->init().ok());
+  Host client_host(&net);
+  RetryPolicy policy;
+  policy.max_attempts = 1;  // surface the first attempt's outcome verbatim
+  BlockStoreClient client(client_host.sys, addr, 7000,
+                          [&] {
+                            node->serve_once();
+                            tick_streams(*server, client_host);
+                          },
+                          policy);
+  ASSERT_TRUE(client.put("survivor", bytes("acked-before-crash")).ok());
+
+  node.reset();
+  server.reset();
+  disk.crash(0);  // worst case: all unflushed state gone
+  server = std::make_unique<Host>(&net, &disk, /*recover=*/true, addr);
+  node = std::make_unique<BlockStoreNode>(server->sys, 7000);
+  ASSERT_TRUE(node->init().ok());
+
+  EXPECT_EQ(client.get("survivor").error(), ErrorCode::kConnReset);
+  EXPECT_EQ(client.retry_stats().stream_errors, 1u);
+  auto got = client.get("survivor");
+  ASSERT_TRUE(got.ok()) << error_name(got.error());
+  EXPECT_EQ(got.value(), bytes("acked-before-crash"));
 }
 
 // Crash during the replication push: the primary acks a put whose push to
@@ -345,8 +399,10 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     EXPECT_EQ(primary.get("acked").value(), bytes("must-survive"));
 
     Host client_host(&net);
-    BlockStoreClient client(client_host.sys, rebooted.kernel.net_addr(), 7000,
-                            [&] { primary.serve_once(); });
+    BlockStoreClient client(client_host.sys, rebooted.kernel.net_addr(), 7000, [&] {
+      primary.serve_once();
+      tick_streams(rebooted, client_host);
+    });
     ASSERT_TRUE(client.init().ok());
     auto repaired = client.sync_into(replica);
     ASSERT_TRUE(repaired.ok());
@@ -465,6 +521,7 @@ TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
       [&] {
         node.serve_once();
         standby.serve_once();
+        tick_streams(server, standby_host, client_host);
         if (++polls == 60) {
           node.grant_tokens(1'000'000);  // the bucket refills mid-backoff
         }
@@ -504,6 +561,7 @@ TEST(RetryPolicyTest, FailoverStickinessResumesOnLastGoodTarget) {
         n0.serve_once();
         n1.serve_once();
         n2.serve_once();
+        tick_streams(h0, h1, h2, client_host);
       },
       policy);
   client.add_failover(h1.kernel.net_addr(), 7001);
@@ -531,7 +589,7 @@ TEST(RetryPolicyTest, FailoverStickinessResumesOnLastGoodTarget) {
   EXPECT_EQ(n1.get("k").value(), bytes("v3"));
 }
 
-// A serve_delay latency fault stalls the node (the datagram stays queued —
+// A serve_delay latency fault stalls the node (the request stays queued —
 // nothing is lost) and the client's retry budget rides it out.
 TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
   auto& reg = FaultRegistry::global();
@@ -541,8 +599,10 @@ TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000, {}, {}, "slownode");
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
+    node.serve_once();
+    tick_streams(server, client_host);
+  });
   ASSERT_TRUE(client.put("warm", bytes("up")).ok());
 
   FaultSpec stall;

@@ -146,7 +146,7 @@ TEST(ChaosChurnTest, ReplayFromEnv) {
 
 // ---------------------------------------------------------------------------
 // Targeted membership changes racing an in-flight put: the change runs from
-// inside the client's pump callback, i.e. while the put's datagrams are on
+// inside the client's pump callback, i.e. while the put's request is on
 // the wire — the tightest interleaving the simulation can express.
 
 struct Host {
@@ -174,6 +174,7 @@ struct Host {
 
 struct ChurnCluster {
   Network net;
+  Host client_host{&net};
   std::vector<std::unique_ptr<Host>> hosts;
   std::vector<std::unique_ptr<BlockStoreNode>> nodes;
   std::vector<bool> active;
@@ -207,19 +208,27 @@ struct ChurnCluster {
     return id;
   }
 
+  // Serves every active node but `skip`, then ticks every host's VTP stack
+  // once (client rpcs ride streams, which retransmit only on ticks).
   void pump_except(usize skip) {
     for (usize i = 0; i < nodes.size(); ++i) {
       if (i != skip && active[i] && nodes[i]) {
         nodes[i]->serve_once();
       }
     }
+    for (usize i = 0; i < hosts.size(); ++i) {
+      if (active[i]) {
+        hosts[i]->kernel.vtp().tick();
+      }
+    }
+    client_host.kernel.vtp().tick();
   }
   void pump_all() { pump_except(nodes.size()); }
 
   void client_pump() {
     // The hook runs before the servers get a turn: a membership change fired
-    // on the client's first poll lands after its request datagram was sent
-    // but before any node serves it — a genuinely in-flight op.
+    // on the client's first poll lands after its request was sent but
+    // before any node serves it — a genuinely in-flight op.
     if (on_pump) {
       on_pump();
     }
@@ -244,8 +253,7 @@ struct ChurnCluster {
 
 TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
   ChurnCluster c(3, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view.directory[0].addr, c.view.directory[0].port,
+  BlockStoreClient client(c.client_host.sys, c.view.directory[0].addr, c.view.directory[0].port,
                           [&c] { c.client_pump(); });
   client.set_cluster(c.view);
 
@@ -296,8 +304,7 @@ TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
 
 TEST(ChurnInFlightTest, LeaveDuringInFlightPut) {
   ChurnCluster c(4, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view.directory[0].addr, c.view.directory[0].port,
+  BlockStoreClient client(c.client_host.sys, c.view.directory[0].addr, c.view.directory[0].port,
                           [&c] { c.client_pump(); });
   client.set_cluster(c.view);
 

@@ -242,31 +242,39 @@ TEST_F(SysTest, UdpDoubleBindRejected) {
   EXPECT_EQ(sys.udp_bind(a.value(), 6001).error(), ErrorCode::kAlreadyExists);
 }
 
-TEST_F(SysTest, RtpStreamOverLoopback) {
-  auto listener = sys.rtp_listen(80);
+TEST_F(SysTest, VtpStreamOverLoopback) {
+  auto listener = sys.vtp_listen(80);
   ASSERT_TRUE(listener.ok());
-  auto client = sys.rtp_connect(kernel.net_addr(), 80, 1234);
+  auto client = sys.vtp_connect(kernel.net_addr(), 80, 1234);
   ASSERT_TRUE(client.ok());
   // Pump the protocol until the handshake completes.
   Fd server = kInvalidFd;
   for (int i = 0; i < 200 && server == kInvalidFd; ++i) {
-    kernel.rtp().tick();
-    auto acc = sys.rtp_accept(listener.value());
+    kernel.vtp().tick();
+    auto acc = sys.vtp_accept(listener.value());
     if (acc.ok()) {
       server = acc.value();
     }
   }
   ASSERT_NE(server, kInvalidFd) << "handshake did not complete";
-  ASSERT_TRUE(sys.rtp_send(client.value(), bytes("stream-data")).ok());
+  ASSERT_EQ(sys.vtp_send(client.value(), bytes("stream-data")).value(), 11u);
   std::vector<u8> got;
   for (int i = 0; i < 200 && got.size() < 11; ++i) {
-    kernel.rtp().tick();
-    auto r = sys.rtp_recv(server, 64);
+    kernel.vtp().tick();
+    auto r = sys.vtp_recv(server, 64);
     if (r.ok()) {
       got.insert(got.end(), r.value().begin(), r.value().end());
     }
   }
   EXPECT_EQ(got, bytes("stream-data"));
+  // Closing the client delivers FIN: the server drains, then reads kPipeClosed.
+  ASSERT_TRUE(sys.vtp_close(client.value()).ok());
+  ErrorCode last = ErrorCode::kWouldBlock;
+  for (int i = 0; i < 200 && last == ErrorCode::kWouldBlock; ++i) {
+    kernel.vtp().tick();
+    last = sys.vtp_recv(server, 64).error();
+  }
+  EXPECT_EQ(last, ErrorCode::kPipeClosed);
 }
 
 // --- Console & pid ------------------------------------------------------------------------------
@@ -320,11 +328,14 @@ TEST_F(SysTest, PipeFdsAreProcessLocal) {
 // --- Marshalling hygiene -----------------------------------------------------------------------
 
 TEST_F(SysTest, UnknownSyscallNumberRejected) {
-  Writer w;
-  w.put_u32(9999);
-  auto reply = disp.handle(pid, 0, w.bytes());
-  Reader r(reply);
-  EXPECT_EQ(static_cast<ErrorCode>(*r.get_u32()), ErrorCode::kUnsupported);
+  // 70-75 are the retired RTP stream calls: rejected, never silently reused.
+  for (u32 nr : {9999u, 70u, 71u, 72u, 73u, 74u, 75u}) {
+    Writer w;
+    w.put_u32(nr);
+    auto reply = disp.handle(pid, 0, w.bytes());
+    Reader r(reply);
+    EXPECT_EQ(static_cast<ErrorCode>(*r.get_u32()), ErrorCode::kUnsupported) << "nr " << nr;
+  }
 }
 
 TEST_F(SysTest, EmptyFrameRejected) {
