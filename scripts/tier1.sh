@@ -110,4 +110,11 @@ cmake --build build-ubsan -j"${JOBS}" --target chaos_heal_test app_test
 ./build-ubsan/tests/app_test
 
 echo
+echo "== tier-1: perfbench selftest =="
+# The repository benchmark's own tests (percentile rule, output validator,
+# read-back checks). run.py builds src/ and perfbench/ in Release mode into
+# $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench).
+python3 perfbench/run.py --selftest
+
+echo
 echo "tier1: OK"

@@ -128,26 +128,27 @@ class NodeReplicated {
   ThreadToken register_thread(CoreId core) {
     NodeId node = topo_.node_of_core(core);
     Replica& r = replicas_[node];
+    // The slot is taken under the combiner lock, which serializes node
+    // activation with help()'s passive skip-forward (it checks `registered`
+    // under the same lock) and with this node's other registrants: until the
+    // first registrant releases the lock no thread of the node can run an
+    // op, so a nonzero ltail here can only mean the replica was
+    // skip-forwarded. Its state is then unreconstructable (the entries are
+    // gone from the log), so late activation of a node after the log has
+    // wrapped is a contract violation, not a silent stale read. Register
+    // threads at startup.
+    Backoff backoff;
+    while (r.combiner.exchange(true, std::memory_order_acq_rel)) {
+      backoff.pause();
+    }
     // seq_cst: DistRwLock::write_lock's bounded drain needs this increment
     // ordered before the thread's first read_lock flag store in the seq_cst
     // total order (registration is cold; the fence costs nothing that
     // matters).
     usize slot = r.registered.fetch_add(1, std::memory_order_seq_cst);
     VNROS_CHECK(slot < config_.max_threads_per_replica);
-    if (slot == 0) {
-      // Node activation. Serialize with help()'s passive skip-forward (which
-      // checks `registered` under the same combiner lock), then insist this
-      // replica was never skip-forwarded: a skip-forwarded replica's state is
-      // unreconstructable (the entries are gone from the log), so late
-      // activation of a node after the log has wrapped is a contract
-      // violation, not a silent stale read. Register threads at startup.
-      Backoff backoff;
-      while (r.combiner.exchange(true, std::memory_order_acq_rel)) {
-        backoff.pause();
-      }
-      VNROS_CHECK(log_.ltail(node) == 0);
-      r.combiner.store(false, std::memory_order_release);
-    }
+    VNROS_CHECK(slot != 0 || log_.ltail(node) == 0);
+    r.combiner.store(false, std::memory_order_release);
     return ThreadToken{node, slot, core};
   }
 

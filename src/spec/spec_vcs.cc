@@ -218,6 +218,35 @@ VcOutcome vc_crc_known_answers() {
   if (crc32c(part2, crc32c(part1)) != crc32c(string_bytes(digits))) {
     return VcOutcome::fail("incremental crc32c mismatch");
   }
+  // RFC 3720 section B.4: 32 bytes of 00, of FF, ascending 00..1F, descending.
+  std::vector<u8> zeros(32, 0x00), ones(32, 0xFF), up(32), down(32);
+  for (usize i = 0; i < 32; ++i) {
+    up[i] = static_cast<u8>(i);
+    down[i] = static_cast<u8>(31 - i);
+  }
+  const std::pair<const std::vector<u8>*, u32> vectors[] = {
+      {&zeros, 0x8A9136AAu}, {&ones, 0x62A8AB43u}, {&up, 0x46DD794Eu}, {&down, 0x113FDB5Cu}};
+  for (const auto& [bytes, want] : vectors) {
+    if (crc32c(*bytes) != want || crc32c_reference(*bytes) != want) {
+      return VcOutcome::fail("crc32c RFC 3720 vector failed");
+    }
+  }
+  // The dispatched crc32c must equal the table reference on every length up
+  // to one full VTP segment (1024-byte payload) plus a tail, at every start
+  // offset within an 8-byte word and with varying seeds.
+  std::vector<u8> buf(1100 + 8);
+  Rng rng(0xC32C);
+  for (auto& b : buf) {
+    b = static_cast<u8>(rng.next_u64());
+  }
+  for (usize len = 0; len <= 1100; ++len) {
+    std::span<const u8> data(buf.data() + len % 8, len);
+    u32 seed = static_cast<u32>(len * 0x9E3779B9u);
+    if (crc32c(data, seed) != crc32c_reference(data, seed)) {
+      return VcOutcome::fail("crc32c disagrees with the table reference at length " +
+                             std::to_string(len));
+    }
+  }
   return VcOutcome::pass();
 }
 

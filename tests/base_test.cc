@@ -191,6 +191,53 @@ TEST(CrcTest, IncrementalMatchesOneShot) {
   }
 }
 
+// RFC 3720 section B.4 vectors, plus the customary "123456789" check value.
+TEST(CrcTest, Rfc3720Vectors) {
+  std::vector<u8> zeros(32, 0x00);
+  std::vector<u8> ones(32, 0xFF);
+  std::vector<u8> up(32);
+  std::vector<u8> down(32);
+  for (usize i = 0; i < 32; ++i) {
+    up[i] = static_cast<u8>(i);
+    down[i] = static_cast<u8>(31 - i);
+  }
+  for (auto* crc : {&crc32c, &crc32c_reference}) {
+    EXPECT_EQ(crc(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(up, 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(down, 0), 0x113FDB5Cu);
+    EXPECT_EQ(crc(string_bytes("123456789"), 0), 0xE3069283u);
+  }
+}
+
+// Differential check of the dispatched crc32c against the byte-table
+// reference: every length up to just past one 4 KiB block, every start
+// offset within an 8-byte word (misaligned loads), several seeds, and a
+// chained call split at a random point.
+TEST(CrcTest, MatchesReferenceOnEveryLengthOffsetAndSeed) {
+  constexpr usize kMaxLen = 4200;
+  std::vector<u8> buf(kMaxLen + 8);
+  Rng rng(13);
+  for (auto& c : buf) {
+    c = static_cast<u8>(rng.next_u64());
+  }
+  const u32 seeds[] = {0u, 0xFFFFFFFFu, 0xE3069283u, 0x00000001u, 0x80000000u};
+  for (usize offset = 0; offset < 8; ++offset) {
+    for (usize len = 0; len <= kMaxLen; ++len) {
+      u32 seed = seeds[(offset + len) % std::size(seeds)];
+      std::span<const u8> data(buf.data() + offset, len);
+      u32 want = crc32c_reference(data, seed);
+      ASSERT_EQ(crc32c(data, seed), want) << "offset " << offset << " len " << len;
+      usize split = rng.next_below(len + 1);
+      u32 head = crc32c(data.first(split), seed);
+      ASSERT_EQ(crc32c(data.subspan(split), head), want)
+          << "offset " << offset << " len " << len << " split " << split;
+      ASSERT_EQ(crc32c_reference(data.subspan(split), crc32c_reference(data.first(split), seed)),
+                want);
+    }
+  }
+}
+
 // --- Serde ------------------------------------------------------------------------------
 
 TEST(SerdeTest, EmptyReaderIsExhausted) {
