@@ -69,13 +69,14 @@ echo "== tier-1: SysRing (ring VCs + edge cases + chaos-ring + TSan) =="
 # refinement/uniqueness VCs, the SQ-full/CQ-overflow/parking edge cases,
 # the ring-fault chaos matrix, and a TSan pass over the ring suite (the
 # reactor mutates SQ/CQ state under the kernel lock; TSan checks the
-# completion hand-off to parked waiters).
+# completion hand-off to parked waiters). The TSan pass also runs the sys_*
+# VCs (marshalling, fd table): sync calls and ring ops share one decode path.
 ./build/tests/vc_suite_test --gtest_filter='*ring*:*Ring*'
 ./build/tests/ring_syscall_test
 ctest --test-dir build -L chaos-ring --output-on-failure
 cmake --build build-tsan -j"${JOBS}" --target ring_syscall_test vc_suite_test
 ./build-tsan/tests/ring_syscall_test
-./build-tsan/tests/vc_suite_test --gtest_filter='*ring*:*Ring*'
+./build-tsan/tests/vc_suite_test --gtest_filter='*ring*:*Ring*:*sys_*'
 
 echo
 echo "== tier-1: VTP transport (VCs + protocol suite + chaos-vtp + TSan) =="

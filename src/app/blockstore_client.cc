@@ -247,10 +247,9 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
             chans_.erase(armed);  // stream died under the parked recv
             continue;
           }
-          Reader sr(cqe.payload);
-          if (auto bytes = sr.get_bytes()) {
-            armed->second.inbuf.insert(armed->second.inbuf.end(), bytes->begin(),
-                                       bytes->end());
+          if (auto bytes = decode_reply<SysNr::kVtpRecv>(cqe); bytes.ok()) {
+            armed->second.inbuf.insert(armed->second.inbuf.end(), bytes.value().begin(),
+                                       bytes.value().end());
           }
         }
       } else if (cqes.error() == ErrorCode::kNotFound) {

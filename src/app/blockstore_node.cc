@@ -412,22 +412,16 @@ Result<std::vector<u8>> BlockStoreNode::await_repair_reply(u64 req_id, usize pol
     }
     for (RingCqe& cqe : cqes.value()) {
       repair_recv_armed_ = false;  // every CQE consumes the parked recv
-      if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+      auto dg = decode_reply<SysNr::kUdpRecvFrom>(cqe);
+      if (!dg.ok()) {
         continue;
       }
-      Reader dg(cqe.payload);
-      auto src = dg.get_u32();
-      auto sport = dg.get_u16();
-      auto payload = dg.get_bytes();
-      if (!src || !sport || !payload) {
-        continue;
-      }
-      Reader r(*payload);
+      Reader r(dg.value().payload);
       auto rid = r.get_u64();
       if (!rid || *rid != req_id) {
         continue;  // stale reply from an earlier push/fetch on this socket
       }
-      return std::move(*payload);
+      return std::move(dg.value().payload);
     }
   }
   return ErrorCode::kTimedOut;
@@ -1089,11 +1083,8 @@ bool BlockStoreNode::serve_once() {
       // The parked VTP accept resolved: adopt the connection and let the
       // re-arm pass below park a recv SQE on it (plus a fresh accept).
       accept_armed_ = false;
-      if (static_cast<ErrorCode>(cqe.err) == ErrorCode::kOk) {
-        Reader ar(cqe.payload);
-        if (auto fd = ar.get_u32()) {
-          vtp_conns_[next_vtp_slot_++].fd = static_cast<Fd>(*fd);
-        }
+      if (auto fd = decode_reply<SysNr::kVtpAccept>(cqe); fd.ok()) {
+        vtp_conns_[next_vtp_slot_++].fd = fd.value();
       }
       continue;
     }
@@ -1110,26 +1101,19 @@ bool BlockStoreNode::serve_once() {
         close_vtp_conn(slot);
         continue;
       }
-      Reader sr(cqe.payload);
-      if (auto bytes = sr.get_bytes()) {
-        served += on_vtp_bytes(slot, *bytes);
+      if (auto bytes = decode_reply<SysNr::kVtpRecv>(cqe); bytes.ok()) {
+        served += on_vtp_bytes(slot, bytes.value());
       }
       continue;
     }
     if (serve_recvs_ > 0) {
       --serve_recvs_;  // this worker's recv completed; re-armed below
     }
-    if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+    auto dg = decode_reply<SysNr::kUdpRecvFrom>(cqe);
+    if (!dg.ok()) {
       continue;  // e.g. socket rebound mid-flight; the pool re-arms below
     }
-    Reader dg(cqe.payload);
-    auto src = dg.get_u32();
-    auto sport = dg.get_u16();
-    auto payload = dg.get_bytes();
-    if (!src || !sport || !payload) {
-      continue;
-    }
-    process_request(*src, *sport, *payload);
+    process_request(dg.value().src_addr, dg.value().src_port, dg.value().payload);
     ++served;
   }
   if (served > 0) {

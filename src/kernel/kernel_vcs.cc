@@ -989,6 +989,67 @@ VcOutcome vc_sys_read_contract(u64 seed) {
   return VcOutcome::pass();
 }
 
+// Row N's frame from `args`: the nr word, then the row's arg encoding.
+template <SysNr N>
+std::vector<u8> sys_frame(const SysArgs<N>& args) {
+  Writer w;
+  w.put_u32(static_cast<u32>(N));
+  std::apply([&w](const auto&... fields) { encode_args<N>(w, fields...); }, args);
+  return w.take();
+}
+
+// A field of a row's widest frame: default-valued, with every optional
+// trailing field present.
+template <typename T>
+T widest(const T&) {
+  return T{};
+}
+template <typename T>
+std::optional<T> widest(const std::optional<T>&) {
+  return T{};
+}
+
+std::optional<ErrorCode> error_word(SyscallDispatcher& disp, Pid pid, std::span<const u8> frame) {
+  std::vector<u8> reply = disp.handle(pid, 0, frame);
+  Reader r(reply);
+  auto err = r.get_u32();
+  return err ? std::optional<ErrorCode>(static_cast<ErrorCode>(*err)) : std::nullopt;
+}
+
+// One syscalls.def row: every strict prefix of the canonical (default-
+// valued) frame and the widest frame plus one byte are kInvalidArgument;
+// fuzzed frames are still answered with an error word. Returns a failure
+// message, empty on pass.
+template <SysNr N>
+std::string check_marshalling_row(SyscallDispatcher& disp, Pid pid, Rng& rng) {
+  const std::string row = "nr " + std::to_string(static_cast<u32>(N));
+  const std::vector<u8> canonical = sys_frame<N>(SysArgs<N>{});
+  for (usize cut = 0; cut < canonical.size(); ++cut) {
+    if (error_word(disp, pid, std::span<const u8>(canonical.data(), cut)) !=
+        ErrorCode::kInvalidArgument) {
+      return row + ": truncated frame not rejected at cut " + std::to_string(cut);
+    }
+  }
+  std::vector<u8> wide = std::apply(
+      [](const auto&... f) { return sys_frame<N>(SysArgs<N>{widest(f)...}); }, SysArgs<N>{});
+  wide.push_back(static_cast<u8>(rng.next_u64()));
+  if (error_word(disp, pid, wide) != ErrorCode::kInvalidArgument) {
+    return row + ": trailing byte not rejected";
+  }
+  wide.pop_back();
+  for (int i = 0; i < 8; ++i) {
+    std::vector<u8> fuzzed = wide;
+    fuzzed[rng.next_below(fuzzed.size())] ^= static_cast<u8>(1 + rng.next_below(255));
+    if (rng.chance(1, 4)) {
+      fuzzed.push_back(static_cast<u8>(rng.next_u64()));
+    }
+    if (!error_word(disp, pid, fuzzed)) {
+      return row + ": reply without error word";
+    }
+  }
+  return "";
+}
+
 VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
   Kernel kernel;
   SyscallDispatcher disp(kernel);
@@ -999,36 +1060,16 @@ VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
   std::vector<u8> data{1, 2, 3};
   (void)sys.write(fd.value(), data);
 
-  // Build a valid read frame, then fuzz truncations and mutations: the
-  // dispatcher must answer every frame (no crash) and never return kOk for a
-  // malformed one that decodes to nothing.
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRead));
-  w.put_u32(static_cast<u32>(fd.value()));
-  w.put_u64(3);
-  std::vector<u8> frame = w.take();
-  for (usize cut = 0; cut < frame.size(); ++cut) {
-    auto reply = disp.handle(proc.value(), 0, std::span<const u8>(frame.data(), cut));
-    Reader r(reply);
-    auto err = r.get_u32();
-    if (!err || static_cast<ErrorCode>(*err) == ErrorCode::kOk) {
-      return VcOutcome::fail("truncated frame accepted at cut " + std::to_string(cut));
-    }
-  }
+  // Walk the whole table: the dispatcher must answer every frame (no
+  // crash), and a frame that is not exactly its row's shape never reaches
+  // the handler.
   Rng rng(seed);
-  for (int i = 0; i < 300; ++i) {
-    std::vector<u8> fuzzed = frame;
-    fuzzed[rng.next_below(fuzzed.size())] ^= static_cast<u8>(1 + rng.next_below(255));
-    // Extra garbage appended must also be rejected (frames are exact).
-    if (rng.chance(1, 4)) {
-      fuzzed.push_back(static_cast<u8>(rng.next_u64()));
-    }
-    auto reply = disp.handle(proc.value(), 0, fuzzed);
-    Reader r(reply);
-    if (!r.get_u32()) {
-      return VcOutcome::fail("reply without error word");
-    }
+#define VNROS_SYSCALL(Name, ...)                                                    \
+  if (std::string f = check_marshalling_row<SysNr::Name>(disp, proc.value(), rng); \
+      !f.empty()) {                                                                 \
+    return VcOutcome::fail(f);                                                      \
   }
+#include "src/kernel/syscalls.def"
   return VcOutcome::pass();
 }
 

@@ -4,55 +4,9 @@
 #include <utility>
 
 #include "src/base/contracts.h"
+#include "src/kernel/sysnr.h"
 
 namespace vnros {
-
-namespace {
-
-// SysNr values duplicated here as raw u32s to keep ring.h free of a
-// syscall.h include cycle (syscall.h includes kernel.h includes ring.h).
-constexpr u32 kNrOpen = 10;
-constexpr u32 kNrClose = 11;
-constexpr u32 kNrRead = 12;
-constexpr u32 kNrWrite = 13;
-constexpr u32 kNrLseek = 14;
-constexpr u32 kNrFstat = 15;
-constexpr u32 kNrFsync = 22;
-constexpr u32 kNrUdpSendTo = 62;
-constexpr u32 kNrUdpRecvFrom = 63;
-constexpr u32 kNrVtpAccept = 111;
-constexpr u32 kNrVtpSend = 113;
-constexpr u32 kNrVtpRecv = 114;
-
-// Ops whose transient kWouldBlock means "nothing to deliver yet" (or, for
-// vtp_send, "no buffer space yet"): the ring parks these in flight instead
-// of completing with the error.
-bool parkable(u32 op) {
-  return op == kNrUdpRecvFrom || op == kNrVtpAccept || op == kNrVtpSend ||
-         op == kNrVtpRecv;
-}
-
-}  // namespace
-
-bool ring_submittable(u32 op) {
-  switch (op) {
-    case kNrOpen:
-    case kNrClose:
-    case kNrRead:
-    case kNrWrite:
-    case kNrLseek:
-    case kNrFstat:
-    case kNrFsync:
-    case kNrUdpSendTo:
-    case kNrUdpRecvFrom:
-    case kNrVtpAccept:
-    case kNrVtpSend:
-    case kNrVtpRecv:
-      return true;
-    default:
-      return false;
-  }
-}
 
 SysRingTable::SysRingTable(Scheduler& sched)
     : sched_(sched), obs_prefix_(ObsRegistry::global().instance_prefix("ring")) {
@@ -115,7 +69,7 @@ usize SysRingTable::reactor_pass(Ring& ring, const Executor& exec,
     Reader args(p.sqe.args);
     Writer payload;
     ErrorCode err = exec(p.sqe.op, args, payload);
-    if (err == ErrorCode::kWouldBlock && parkable(p.sqe.op)) {
+    if (err == ErrorCode::kWouldBlock && ring_parkable(p.sqe.op)) {
       ++i;
       continue;
     }

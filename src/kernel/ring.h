@@ -88,9 +88,10 @@ class SysRingTable {
   // kRingSubmit: accepts a prefix of `entries` bounded by free SQ slots and
   // runs a reactor pass. Returns the number accepted (possibly < entries
   // size — each refused entry is counted in sq_full); if no entry fits the
-  // typed error is kWouldBlock. Ops outside the ring-submittable set are
-  // accepted and completed immediately with kUnsupported (exactly-once is
-  // preserved: refusal is only ever about capacity).
+  // typed error is kWouldBlock. Ops outside the ring-submittable set (rows
+  // without kSysRing in syscalls.def) are accepted and completed immediately
+  // with kUnsupported (exactly-once is preserved: refusal is only ever about
+  // capacity).
   Result<u32> submit(Pid pid, u32 ring_id, std::span<const RingSqe> entries,
                      const Executor& exec, const ThreadToken& sched_tok);
 
@@ -165,11 +166,6 @@ class SysRingTable {
   Histogram* h_completion_passes_;  // reactor passes from accept to post
   u64 pass_counter_ = 0;
 };
-
-// True for the syscalls a ring accepts: the data-plane I/O subset whose
-// handlers are self-contained transitions (no process-control side effects,
-// no nested rings). Everything else completes with kUnsupported.
-bool ring_submittable(u32 op);
 
 }  // namespace vnros
 

@@ -83,25 +83,30 @@ TEST_F(RingSysTest, CqOverflowIsAccountedAndLossFree) {
   ASSERT_TRUE(ring.ok());
   auto fd = sys.open("/f", kOpenCreate);
   ASSERT_TRUE(fd.ok());
-  // Four immediately-completing writes against a 2-slot CQ: two completions
-  // spill to the accounted overflow list.
+  // Four immediately-completing writes against a 2-slot CQ, then an fsync
+  // whose args carry one trailing byte: three completions spill to the
+  // accounted overflow list.
   std::vector<RingSqe> batch;
   for (u64 i = 1; i <= 4; ++i) {
     batch.push_back(RingSqe{i, static_cast<u32>(SysNr::kWrite),
                             ring_args::write(fd.value(), bytes("x"))});
   }
+  batch.push_back(RingSqe{5, static_cast<u32>(SysNr::kFsync), {0xFF}});
   u64 overflows_before = kernel.rings().cq_overflows();
-  ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 4u);
+  ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 5u);
   if (kMetricsEnabled) {
-    EXPECT_EQ(kernel.rings().cq_overflows(), overflows_before + 2);
+    EXPECT_EQ(kernel.rings().cq_overflows(), overflows_before + 3);
   }
-  // No completion is lost and FIFO order survives the spill.
+  // No completion is lost and FIFO order survives the spill. Ring args are
+  // exact like synchronous frames: the malformed fsync completes with
+  // kInvalidArgument.
   auto cqes = sys.ring_wait(ring.value(), 0, 16);
   ASSERT_TRUE(cqes.ok());
-  ASSERT_EQ(cqes.value().size(), 4u);
-  for (u64 i = 0; i < 4; ++i) {
+  ASSERT_EQ(cqes.value().size(), 5u);
+  for (u64 i = 0; i < 5; ++i) {
     EXPECT_EQ(cqes.value()[i].user_data, i + 1);
-    EXPECT_EQ(static_cast<ErrorCode>(cqes.value()[i].err), ErrorCode::kOk);
+    EXPECT_EQ(static_cast<ErrorCode>(cqes.value()[i].err),
+              i < 4 ? ErrorCode::kOk : ErrorCode::kInvalidArgument);
   }
 }
 

@@ -345,14 +345,19 @@ TEST_F(SysTest, EmptyFrameRejected) {
 }
 
 TEST_F(SysTest, TrailingGarbageRejected) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kFsync));
-  w.put_u8(0xFF);  // extra byte: frames are exact
-  auto reply = disp.handle(pid, 0, w.bytes());
-  Reader r(reply);
-  // kFsync reads no args but the dispatcher as a whole doesn't check
-  // exhaustion for it... it must still answer with *an* error word.
-  EXPECT_TRUE(r.get_u32().has_value());
+  // Frames are exact: one extra byte after a complete frame is rejected, also
+  // for calls whose arg shape is empty.
+  for (SysNr nr : {SysNr::kFsync, SysNr::kGetPid}) {
+    Writer w;
+    w.put_u32(static_cast<u32>(nr));
+    w.put_u8(0xFF);
+    auto reply = disp.handle(pid, 0, w.bytes());
+    Reader r(reply);
+    auto err = r.get_u32();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(static_cast<ErrorCode>(*err), ErrorCode::kInvalidArgument)
+        << "nr " << static_cast<u32>(nr);
+  }
 }
 
 }  // namespace
