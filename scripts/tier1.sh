@@ -50,30 +50,24 @@ cmake --build build-nometrics -j"${JOBS}"
 ./build-nometrics/tests/integration_test
 
 echo
-echo "== tier-1: membership-churn chaos (ctest -L chaos-churn) =="
-# The cluster churn schedules (join/leave/delay/admission under the PR 3
-# fault matrix) are labeled so they can be invoked as a stage of their own.
-ctest --test-dir build -L chaos-churn --output-on-failure
+echo "== tier-1: cluster chaos, every preset (ctest -L '^chaos$') =="
+# One schedule, five presets (crash, churn, overload, heal, ring), each over
+# eight fixed seeds with the per-read linearizability checker, Merkle
+# anti-entropy and the convergence checks at quiesce on.
+ctest --test-dir build -L '^chaos$' --output-on-failure
 
 echo
-echo "== tier-1: self-healing chaos (ctest -L chaos-heal) =="
-# The heal schedules (sequenced deletes + tombstone GC, bit-rot, flap
-# storms, slow peers, Merkle anti-entropy) with the per-read linearizability
-# checker and convergence checks at quiesce.
-ctest --test-dir build -L chaos-heal --output-on-failure
-
-echo
-echo "== tier-1: SysRing (ring VCs + edge cases + chaos-ring + TSan) =="
+echo "== tier-1: SysRing (ring VCs + edge cases + TSan) =="
 # The async submission/completion rings sit on the whole blockstore data
 # plane (serve pool, repair RPCs, client reply awaits). Gate on: the ring
-# refinement/uniqueness VCs, the SQ-full/CQ-overflow/parking edge cases,
-# the ring-fault chaos matrix, and a TSan pass over the ring suite (the
-# reactor mutates SQ/CQ state under the kernel lock; TSan checks the
-# completion hand-off to parked waiters). The TSan pass also runs the sys_*
-# VCs (marshalling, fd table): sync calls and ring ops share one decode path.
+# refinement/uniqueness VCs, the SQ-full/CQ-overflow/parking edge cases
+# (the ring-fault chaos matrix is the chaos stage's ring preset), and a TSan
+# pass over the ring suite (the reactor mutates SQ/CQ state under the kernel
+# lock; TSan checks the completion hand-off to parked waiters). The TSan pass
+# also runs the sys_* VCs (marshalling, fd table): sync calls and ring ops
+# share one decode path.
 ./build/tests/vc_suite_test --gtest_filter='*ring*:*Ring*'
 ./build/tests/ring_syscall_test
-ctest --test-dir build -L chaos-ring --output-on-failure
 cmake --build build-tsan -j"${JOBS}" --target ring_syscall_test vc_suite_test
 ./build-tsan/tests/ring_syscall_test
 ./build-tsan/tests/vc_suite_test --gtest_filter='*ring*:*Ring*:*sys_*'
@@ -101,13 +95,13 @@ cmake --build build-asan -j"${JOBS}"
 ctest --test-dir build-asan -j"${JOBS}" --output-on-failure
 
 echo
-echo "== tier-1: UBSan build (chaos_heal_test + app_test) =="
-# Pure UBSan (no recovery, no ASan shadow-memory slowdown) over the heal
-# matrix: the repair/GC/bit-rot paths do a lot of byte-level (de)serialization
-# and seq arithmetic — exactly where silent UB would hide.
+echo "== tier-1: UBSan build (chaos_test + app_test) =="
+# Pure UBSan (no recovery, no ASan shadow-memory slowdown) over every chaos
+# preset: the repair/GC/bit-rot/ring-fault paths do a lot of byte-level
+# (de)serialization and seq arithmetic — exactly where silent UB would hide.
 cmake -B build-ubsan -S . -DVNROS_SAN=undefined >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target chaos_heal_test app_test
-./build-ubsan/tests/chaos_heal_test
+cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test
+./build-ubsan/tests/chaos_test
 ./build-ubsan/tests/app_test
 
 echo

@@ -1,7 +1,7 @@
 #include "src/app/chaos.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +25,124 @@ namespace {
 
 constexpr Port kPort = 9000;
 constexpr u64 kDiskSectors = 16384;
+// Block-store hosts map almost no user memory (the OOM probe maps one
+// page), and PhysMem zero-fills every frame at boot: a 4 MiB machine boots
+// in ~2 ms where the 32 MiB default takes ~26 ms, and every crash and join
+// boots one.
+constexpr u64 kHostFrames = 1024;
+
+// The cluster every preset runs.
+constexpr usize kNodes = 3;        // initial members (>= 2 for repair paths)
+constexpr usize kReplication = 2;  // ring owners per key
+constexpr usize kVnodes = 32;      // virtual nodes per member
+constexpr usize kMaxNodes = 6;     // join cap (slots are never reused)
+constexpr usize kGcEvery = 2;      // tombstone GC at every Nth quiesce
+constexpr u64 kMaxValueBytes = 400;
+constexpr u64 kAdmissionBurst = 2;  // admission bucket capacity, in ops
+
+// Per-step rates every preset shares, parts-per-million.
+constexpr u64 kCrashPpm = 20'000;         // crash + reboot a random node
+constexpr u64 kPartitionPpm = 25'000;     // cut a random (node|client, node) pair
+constexpr u64 kHealCutPpm = 40'000;       // heal a random active cut
+constexpr u64 kDiskFaultPpm = 30'000;     // one-shot disk read/write error on a random node
+constexpr u64 kTornWritePpm = 10'000;     // one-shot torn write on a random node
+constexpr u64 kSyscallFaultPpm = 15'000;  // one-shot syscall kIoError injection
+constexpr u64 kOomPpm = 8'000;            // one-shot frame-allocator OOM + probe it
+constexpr u64 kGetPpm = 300'000;          // share of client ops that are gets
+
+// Event magnitudes.
+constexpr u64 kDelayPollsMax = 64;      // one-shot stall drawn from [8, max] polls
+constexpr u64 kBitRotBytesMax = 8;      // flipped bytes per fire, drawn from [1, max]
+constexpr u64 kFlapTogglesMax = 8;      // storm length drawn from [2, max] toggles
+constexpr u64 kSlowPeerPolls = 12;      // stall per serve during a slow spell
+constexpr u64 kSlowSpellStepsMax = 40;  // spell length drawn from [8, max] steps
+// Crash severity: chance each unflushed sector survives, and chance a
+// surviving unflushed sector is torn to a prefix.
+constexpr u64 kPersistPpm = 500'000;
+constexpr u64 kTornCrashPpm = 150'000;
+
+// One preset: the schedule length and the per-step rates (ppm) that differ
+// between presets, plus the report counters its seed matrix must drive
+// above zero. A zero rate never fires.
+struct Preset {
+  std::string_view name;
+  usize steps;        // schedule steps (each is one client op + events)
+  usize keys;         // key universe (small: forces overwrite churn)
+  usize check_every;  // quiesce + invariant check cadence
+  u64 del_ppm;        // share of client ops that are deletes (puts get the rest)
+  u64 join_ppm = 0;   // boot a new member + rebalance all
+  u64 leave_ppm = 0;  // graceful leave (aborts if it would strand a shard)
+  u64 delay_ppm = 0;  // arm a one-shot serve_delay stall
+  u64 admission_ppm = 0;  // tokens/step granted to every node (0 = gate off)
+  u64 bit_rot_ppm = 0;    // arm one-shot silent disk corruption
+  u64 flap_ppm = 0;       // start a partition flap storm (a pair toggles
+                          // cut/healed every step for its length)
+  u64 slow_peer_ppm = 0;  // start a sustained slow-peer spell (serve_delay
+                          // re-arms on EVERY serve: latency asymmetry)
+  u64 ring_submit_ppm = 0;    // arm one-shot syscall/ring_submit (an accepted
+                              // SQE completes with the injected error)
+  u64 ring_complete_ppm = 0;  // arm one-shot syscall/ring_complete (a pending
+                              // op is deferred one reactor pass)
+  std::vector<ChaosCounter> covers;
+};
+
+#define VNROS_COVER(field) ChaosCounter{#field, &ChaosReport::field}
+
+// The preset table, in ChaosPreset order.
+const Preset kPresets[] = {
+    {.name = "crash", .steps = 250, .keys = 10, .check_every = 50, .del_ppm = 100'000,
+     .covers = {VNROS_COVER(crashes), VNROS_COVER(partitions), VNROS_COVER(heals),
+                VNROS_COVER(faults_armed), VNROS_COVER(fault_fires),
+                VNROS_COVER(lin_reads_checked)}},
+    {.name = "churn", .steps = 300, .keys = 12, .check_every = 60, .del_ppm = 100'000,
+     .join_ppm = 35'000, .leave_ppm = 35'000, .delay_ppm = 30'000,
+     .covers = {VNROS_COVER(joins), VNROS_COVER(leaves), VNROS_COVER(rebalanced),
+                VNROS_COVER(hints_written), VNROS_COVER(delays_armed), VNROS_COVER(crashes),
+                VNROS_COVER(partitions), VNROS_COVER(lin_reads_checked)}},
+    // 0.3 op/step/node against ~1 op + replicas offered: nodes must shed, and
+    // shedding must stay a liveness event, never a safety one.
+    {.name = "overload", .steps = 300, .keys = 12, .check_every = 60, .del_ppm = 100'000,
+     .join_ppm = 35'000, .leave_ppm = 35'000, .delay_ppm = 30'000, .admission_ppm = 300'000,
+     .covers = {VNROS_COVER(sheds), VNROS_COVER(lin_reads_checked)}},
+    {.name = "heal", .steps = 300, .keys = 12, .check_every = 60, .del_ppm = 200'000,
+     .join_ppm = 25'000, .leave_ppm = 25'000, .delay_ppm = 20'000, .bit_rot_ppm = 30'000,
+     .flap_ppm = 15'000, .slow_peer_ppm = 15'000,
+     .covers = {VNROS_COVER(tombstones_written), VNROS_COVER(tombstones_gced),
+                VNROS_COVER(bit_rot_reads), VNROS_COVER(flaps), VNROS_COVER(slow_spells),
+                VNROS_COVER(ae_passes), VNROS_COVER(ae_clean_passes), VNROS_COVER(ae_pulled),
+                VNROS_COVER(ae_pushed), VNROS_COVER(ae_bytes), VNROS_COVER(lin_reads_checked),
+                VNROS_COVER(crashes), VNROS_COVER(partitions)}},
+    // Ring faults often enough that most schedules hit several submit kills
+    // and completion deferrals across the cluster's whole syscall data plane.
+    {.name = "ring", .steps = 250, .keys = 12, .check_every = 50, .del_ppm = 200'000,
+     .join_ppm = 20'000, .leave_ppm = 20'000, .bit_rot_ppm = 20'000, .flap_ppm = 10'000,
+     .ring_submit_ppm = 80'000, .ring_complete_ppm = 80'000,
+     .covers = {VNROS_COVER(faults_armed), VNROS_COVER(fault_fires),
+                VNROS_COVER(ring_submit_fires), VNROS_COVER(ring_complete_fires),
+                VNROS_COVER(lin_reads_checked)}},
+};
+
+#undef VNROS_COVER
+
+const Preset& preset_row(ChaosPreset preset) {
+  VNROS_CHECK(static_cast<usize>(preset) < std::size(kPresets));
+  return kPresets[static_cast<usize>(preset)];
+}
+
+std::string hex(u64 v) {
+  char buf[2 + 16];
+  buf[0] = '0';
+  buf[1] = 'x';
+  auto end = std::to_chars(buf + 2, buf + sizeof(buf), v, 16).ptr;
+  return std::string(buf, end);
+}
+
+FaultSpec one_shot() {
+  FaultSpec spec;
+  spec.probability_ppm = 1'000'000;
+  spec.one_shot = true;
+  return spec;
+}
 
 // One simulated machine with a ready-to-use process and Sys facade (the
 // app_vcs Host pattern, extended with the reboot knobs).
@@ -43,6 +161,7 @@ struct ChaosHost {
   static KernelConfig make_config(Network* net, BlockDevice* disk, bool recover,
                                   std::optional<LinkAddr> addr) {
     KernelConfig config;
+    config.phys_frames = kHostFrames;
     config.network = net;
     config.disk = disk;
     config.recover_fs = recover;
@@ -59,24 +178,12 @@ struct ChaosHost {
   }
 };
 
-// What the client believes about one key. `history` is every value ever
-// attempted (acked or not) — the universe of non-garbage bytes. `certain`
-// is set only while the latest client op on the key was a successful put.
-struct KeyBelief {
-  std::vector<std::vector<u8>> history;
-  std::optional<std::vector<u8>> certain;
-
-  bool in_history(const std::vector<u8>& v) const {
-    for (const auto& h : history) {
-      if (h == v) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-// Heal mode: the per-key op history the linearizability checker validates.
+// What the client knows about one key: every attempted write (acked or
+// not) under its stamp — the values of its puts are the universe of
+// non-garbage bytes — plus `certain`, the acked bytes, set only while the
+// latest client op on the key was a successful put.
+//
+// The linearizability checker validates reads against the same history.
 // The system under test is a replicated sequenced register — not strictly
 // linearizable mid-partition (an acked write can leave a hinted-unreachable
 // replica stale, so reads may serve old values) — so the sound checkable
@@ -88,8 +195,8 @@ struct KeyBelief {
 //     surviving state must carry a stamp >= every acknowledged write's, and
 //     an acknowledged delete with no later attempted write must read as
 //     absent on every node (no resurrection);
-//   - re-image data loss may lower the acknowledged floor (mirrors
-//     downgrade_lost_keys), but only when no surviving copy reaches it.
+//   - re-image data loss may lower the acknowledged floor (and drop
+//     `certain`), but only when no surviving copy reaches it.
 struct KeyHistory {
   struct Write {
     u64 seq = 0;
@@ -100,7 +207,16 @@ struct KeyHistory {
   std::vector<Write> writes;  // every attempted write, in invoke order
   u64 acked_floor = 0;        // highest acknowledged stamp (0 = none)
   bool acked_is_del = false;  // the op at acked_floor was a delete
+  std::optional<std::vector<u8>> certain;
 
+  bool wrote(const std::vector<u8>& v) const {
+    for (const auto& w : writes) {
+      if (!w.tombstone && w.bytes == v) {
+        return true;
+      }
+    }
+    return false;
+  }
   const Write* find_seq(u64 seq) const {
     for (const auto& w : writes) {
       if (w.seq == seq) {
@@ -120,21 +236,22 @@ struct KeyHistory {
 
 class ChaosRunner {
  public:
-  explicit ChaosRunner(const ChaosConfig& cfg) : cfg_(cfg), sched_rng_(cfg.seed) {
-    VNROS_CHECK(cfg_.nodes >= 2);
-    // Heal mode rides on cluster machinery: Merkle repair discovers peers via
-    // the cluster view, and re-image bootstrap must preserve write stamps
-    // (the legacy anti_entropy_into re-stamps, which would invalidate the
-    // linearizability histories).
-    VNROS_CHECK(!cfg_.heal || cfg_.cluster);
-    report_.seed = cfg_.seed;
+  ChaosRunner(ChaosPreset preset, u64 seed)
+      : row_(preset_row(preset)), seed_(seed), sched_rng_(seed) {
+    report_.seed = seed;
+    report_.replay = "VNROS_CHAOS_PRESET=" + std::string(row_.name) +
+                     " VNROS_CHAOS_SEED=" + hex(seed);
+    // Background Merkle repair: one tick per schedule step, so a peer gets a
+    // repair pass every ~64-96 steps.
+    ae_base_.interval_polls = 64;
+    ae_base_.jitter_polls = 32;
   }
 
   ChaosReport run() {
     auto& reg = FaultRegistry::global();
     reg.disarm_all();
     reg.reset_stats();
-    reg.reseed(cfg_.seed ^ 0xFA17'FA17ull);
+    reg.reseed(seed_ ^ 0xFA17'FA17ull);
 
     boot_cluster();
 
@@ -146,18 +263,15 @@ class ChaosRunner {
     tracer.set_clock(&client_host_->kernel.clock());
     tracer.set_enabled(true);
 
-    for (usize step = 0; step < cfg_.steps && report_.message.empty(); ++step) {
+    for (usize step = 0; step < row_.steps && report_.message.empty(); ++step) {
       schedule_events(step);
-      if (!report_.message.empty()) {
-        break;
-      }
       client_op(step);
-      if ((step + 1) % cfg_.check_every == 0) {
+      if (report_.message.empty() && (step + 1) % row_.check_every == 0) {
         quiesce_and_check(step);
       }
     }
     if (report_.message.empty()) {
-      quiesce_and_check(cfg_.steps);
+      quiesce_and_check(row_.steps);
     }
 
     finalize_report();
@@ -173,7 +287,7 @@ class ChaosRunner {
     std::unique_ptr<BlockDevice> disk;
     std::unique_ptr<ChaosHost> host;
     std::unique_ptr<BlockStoreNode> node;
-    std::unique_ptr<AntiEntropyScheduler> ae;  // heal mode: background Merkle repair
+    std::unique_ptr<AntiEntropyScheduler> ae;  // background Merkle repair
     LinkAddr addr = 0;
     BsNodeId id = 0;
     bool active = true;  // false once the member gracefully left (slots are
@@ -182,33 +296,30 @@ class ChaosRunner {
     std::string node_prefix;  // serve_delay latency-injection site prefix
   };
 
-  void boot_slot_machine(usize i) {
+  // Boots slot i's machine (fresh disk) and adds it to the runner's view.
+  void boot_member(usize i) {
     auto& slot = slots_[i];
     slot.id = static_cast<BsNodeId>(i);
     slot.active = true;
     slot.fault_prefix = "chaos/disk" + std::to_string(i);
     slot.node_prefix = "chaos/node" + std::to_string(i);
-    slot.disk = std::make_unique<BlockDevice>(kDiskSectors, cfg_.seed * 1000003ull + i,
+    slot.disk = std::make_unique<BlockDevice>(kDiskSectors, seed_ * 1000003ull + i,
                                               slot.fault_prefix);
     slot.host = std::make_unique<ChaosHost>(&net_, slot.disk.get(), /*recover=*/false,
                                             std::nullopt);
     slot.addr = slot.host->kernel.net_addr();
+    view_.ring.add_node(slot.id);
+    view_.directory[slot.id] = BsPeer{slot.addr, kPort};
   }
 
   void boot_cluster() {
-    if (cfg_.cluster) {
-      view_.ring = PlacementRing(cfg_.vnodes);
-      view_.replication = std::min(cfg_.replication, cfg_.nodes);
+    view_.ring = PlacementRing(kVnodes);
+    view_.replication = kReplication;
+    slots_.resize(kNodes);
+    for (usize i = 0; i < kNodes; ++i) {
+      boot_member(i);
     }
-    slots_.resize(cfg_.nodes);
-    for (usize i = 0; i < cfg_.nodes; ++i) {
-      boot_slot_machine(i);
-      if (cfg_.cluster) {
-        view_.ring.add_node(slots_[i].id);
-        view_.directory[slots_[i].id] = BsPeer{slots_[i].addr, kPort};
-      }
-    }
-    for (usize i = 0; i < cfg_.nodes; ++i) {
+    for (usize i = 0; i < kNodes; ++i) {
       make_node(i);
     }
     client_host_ = std::make_unique<ChaosHost>(&net_, nullptr, /*recover=*/false, std::nullopt);
@@ -223,26 +334,16 @@ class ChaosRunner {
     policy.deadline_polls = 2'000;
     client_ = std::make_unique<BlockStoreClient>(client_host_->sys, slots_[0].addr, kPort,
                                                  [this] { pump_all(); }, policy);
-    for (usize i = 1; i < cfg_.nodes; ++i) {
+    for (usize i = 1; i < kNodes; ++i) {
       client_->add_failover(slots_[i].addr, kPort);
     }
-    if (cfg_.cluster) {
-      client_->set_cluster(view_);
-    }
+    client_->set_cluster(view_);
     VNROS_CHECK(client_->init().ok());
   }
 
   void make_node(usize i) {
     auto& slot = slots_[i];
-    std::vector<BsPeer> peers;
-    if (!cfg_.cluster) {
-      for (usize j = 0; j < cfg_.nodes; ++j) {
-        if (j != i) {
-          peers.push_back(BsPeer{slots_[j].addr, kPort});
-        }
-      }
-    }
-    slot.node = std::make_unique<BlockStoreNode>(slot.host->sys, kPort, std::move(peers),
+    slot.node = std::make_unique<BlockStoreNode>(slot.host->sys, kPort, std::vector<BsPeer>{},
                                                  [this, i] { pump_except(i); }, slot.node_prefix);
     // A node booting mid-schedule can absorb a pending one-shot fault (e.g.
     // global syscall io_error) on its very first syscall. Boot is retried
@@ -255,29 +356,35 @@ class ChaosRunner {
                       error_name(booted.error()));
     }
     VNROS_CHECK(booted.ok());
-    if (cfg_.cluster) {
-      ClusterConfig cc;
-      cc.self = slot.id;
-      slot.node->configure_cluster(cc, view_);
-      if (cfg_.admission_rate_ppm > 0) {
-        AdmissionConfig ac;
-        ac.enabled = true;
-        ac.burst_ops = cfg_.admission_burst;
-        slot.node->set_admission(ac);
-        slot.node->grant_tokens(cfg_.admission_burst * 1'000'000);  // boot with a full bucket
+    ClusterConfig cc;
+    cc.self = slot.id;
+    slot.node->configure_cluster(cc, view_);
+    set_admission(slot, true);
+    slot.node->grant_tokens(kAdmissionBurst * 1'000'000);  // boot with a full bucket
+    // The repair seed is a pure function of the run seed and the slot, so a
+    // rebooted incarnation re-derives the same repair schedule and the whole
+    // run stays seed-replayable.
+    AntiEntropyConfig ae = ae_base_;
+    ae.rng_seed = seed_ ^ (0xAE00'0000ull + static_cast<u64>(i) * 0x9E37ull);
+    slot.ae = std::make_unique<AntiEntropyScheduler>(slot.host->sys, *slot.node,
+                                                     [this, i] { pump_except(i); }, ae);
+  }
+
+  // Admission control is on for the schedule when the preset rations tokens,
+  // and lifted for a quiesce: convergence is not an overload test, and
+  // refilled buckets would still cap each member at kAdmissionBurst ops.
+  void set_admission(NodeSlot& slot, bool on) {
+    AdmissionConfig ac;
+    ac.enabled = on && row_.admission_ppm > 0;
+    ac.burst_ops = kAdmissionBurst;
+    slot.node->set_admission(ac);
+  }
+
+  void set_admission_all(bool on) {
+    for (auto& slot : slots_) {
+      if (slot.active && slot.node) {
+        set_admission(slot, on);
       }
-    }
-    if (cfg_.heal && cfg_.cluster) {
-      // Background Merkle repair. One tick per schedule step, so a peer gets
-      // a repair pass every ~64-96 steps. The seed is a pure function of the
-      // run seed and the slot, so a rebooted incarnation re-derives the same
-      // repair schedule and the whole run stays seed-replayable.
-      AntiEntropyConfig ae;
-      ae.interval_polls = 64;
-      ae.jitter_polls = 32;
-      ae.rng_seed = cfg_.seed ^ (0xAE00'0000ull + static_cast<u64>(i) * 0x9E37ull);
-      slot.ae = std::make_unique<AntiEntropyScheduler>(slot.host->sys, *slot.node,
-                                                       [this, i] { pump_except(i); }, ae);
     }
   }
 
@@ -291,9 +398,7 @@ class ChaosRunner {
     return n;
   }
 
-  // Picks a uniformly random active slot. In legacy (non-cluster) runs every
-  // slot is active forever, so this draws exactly the stream the fixed seed
-  // matrix was recorded against.
+  // Picks a uniformly random active slot.
   usize pick_active() {
     std::vector<usize> idx;
     for (usize i = 0; i < slots_.size(); ++i) {
@@ -302,6 +407,20 @@ class ChaosRunner {
       }
     }
     return idx[sched_rng_.next_below(idx.size())];
+  }
+
+  // A uniformly random pair among {active nodes, client} (possibly equal).
+  std::pair<LinkAddr, LinkAddr> pick_link() {
+    std::vector<LinkAddr> ends;
+    for (const auto& slot : slots_) {
+      if (slot.active) {
+        ends.push_back(slot.addr);
+      }
+    }
+    ends.push_back(client_addr_);
+    LinkAddr a = ends[sched_rng_.next_below(ends.size())];
+    LinkAddr b = ends[sched_rng_.next_below(ends.size())];
+    return {a, b};
   }
 
   void pump_all() {
@@ -324,6 +443,12 @@ class ChaosRunner {
     tick_streams();
   }
 
+  void pump_n(int polls) {
+    for (int i = 0; i < polls; ++i) {
+      pump_all();
+    }
+  }
+
   // One VTP tick on every host: client rpcs ride streams, and a stream only
   // retransmits (across loss, partitions and reboots) when its stack ticks.
   void tick_streams() {
@@ -339,84 +464,64 @@ class ChaosRunner {
 
   // --- Adversarial events ---------------------------------------------------
 
+  void arm(const std::string& site, const FaultSpec& spec = one_shot()) {
+    FaultRegistry::global().arm(site, spec);
+    ++report_.faults_armed;
+  }
+
+  // Every event draws from the schedule Rng on every step, in a fixed order,
+  // so a preset is nothing but its row of rates.
   void schedule_events(usize step) {
-    auto& reg = FaultRegistry::global();
-    if (cfg_.cluster && cfg_.admission_rate_ppm > 0) {
-      // The admission clock: one tick of tokens per schedule step. Ops that
-      // outrun the rate are shed with kOverloaded and absorbed by the
-      // client's backpressure ladder (or fail, leaving the key uncertain).
-      for (auto& slot : slots_) {
-        if (slot.active && slot.node) {
-          slot.node->grant_tokens(cfg_.admission_rate_ppm);
-        }
+    // The admission clock: one tick of tokens per schedule step. Ops that
+    // outrun the rate are shed with kOverloaded and absorbed by the client's
+    // backpressure ladder (or fail, leaving the key uncertain).
+    for (auto& slot : slots_) {
+      if (slot.active && slot.node) {
+        slot.node->grant_tokens(row_.admission_ppm);
       }
     }
-    if (sched_rng_.chance_ppm(cfg_.crash_ppm)) {
+    if (sched_rng_.chance_ppm(kCrashPpm)) {
       crash_node(pick_active(), step);
-      if (!report_.message.empty()) {
-        return;
-      }
     }
-    if (sched_rng_.chance_ppm(cfg_.partition_ppm)) {
-      // Cut a random pair among {active nodes, client}.
-      std::vector<LinkAddr> ends;
-      for (const auto& slot : slots_) {
-        if (slot.active) {
-          ends.push_back(slot.addr);
-        }
-      }
-      ends.push_back(client_addr_);
-      LinkAddr a = ends[sched_rng_.next_below(ends.size())];
-      LinkAddr b = ends[sched_rng_.next_below(ends.size())];
+    if (sched_rng_.chance_ppm(kPartitionPpm)) {
+      auto [a, b] = pick_link();
       if (a != b && !net_.partitioned(a, b)) {
         net_.partition(a, b);
         cuts_.push_back({a, b});
         ++report_.partitions;
       }
     }
-    if (!cuts_.empty() && sched_rng_.chance_ppm(cfg_.heal_ppm)) {
+    if (sched_rng_.chance_ppm(kHealCutPpm) && !cuts_.empty()) {
       usize idx = sched_rng_.next_below(cuts_.size());
       net_.heal(cuts_[idx].first, cuts_[idx].second);
       cuts_.erase(cuts_.begin() + static_cast<isize>(idx));
       ++report_.heals;
     }
-    FaultSpec one_shot;
-    one_shot.probability_ppm = 1'000'000;
-    one_shot.one_shot = true;
-    if (sched_rng_.chance_ppm(cfg_.disk_fault_ppm)) {
+    if (sched_rng_.chance_ppm(kDiskFaultPpm)) {
       const auto& slot = slots_[pick_active()];
-      const char* kind = sched_rng_.chance_ppm(500'000) ? "/write_error" : "/read_error";
-      reg.arm(slot.fault_prefix + kind, one_shot);
-      ++report_.faults_armed;
+      arm(slot.fault_prefix + (sched_rng_.chance_ppm(500'000) ? "/write_error" : "/read_error"));
     }
-    if (sched_rng_.chance_ppm(cfg_.torn_write_ppm)) {
-      const auto& slot = slots_[pick_active()];
-      reg.arm(slot.fault_prefix + "/torn_write", one_shot);
-      ++report_.faults_armed;
+    if (sched_rng_.chance_ppm(kTornWritePpm)) {
+      arm(slots_[pick_active()].fault_prefix + "/torn_write");
     }
-    if (sched_rng_.chance_ppm(cfg_.syscall_fault_ppm)) {
-      reg.arm("syscall/io_error", one_shot);
-      ++report_.faults_armed;
+    if (sched_rng_.chance_ppm(kSyscallFaultPpm)) {
+      arm("syscall/io_error");
     }
-    if (cfg_.ring_submit_fault_ppm > 0 && sched_rng_.chance_ppm(cfg_.ring_submit_fault_ppm)) {
+    if (sched_rng_.chance_ppm(row_.ring_submit_ppm)) {
       // Fires on the next accepted SQE anywhere in the cluster (serve pools,
       // repair RPCs, client reply awaits): it completes immediately with the
       // injected error instead of executing. Every ring user re-arms its
       // parked receives, so the op is absorbed like a dropped datagram.
-      reg.arm("syscall/ring_submit", one_shot);
-      ++report_.faults_armed;
+      arm("syscall/ring_submit");
     }
-    if (cfg_.ring_complete_fault_ppm > 0 &&
-        sched_rng_.chance_ppm(cfg_.ring_complete_fault_ppm)) {
+    if (sched_rng_.chance_ppm(row_.ring_complete_ppm)) {
       // Fires on the next pending ring op: its execution is deferred one
       // reactor pass (completion jitter). Correctness must not depend on
       // completions landing on the earliest possible pass.
-      reg.arm("syscall/ring_complete", one_shot);
-      ++report_.faults_armed;
+      arm("syscall/ring_complete");
     }
-    if (sched_rng_.chance_ppm(cfg_.oom_ppm)) {
-      reg.arm("frame_alloc/oom", one_shot);
-      ++report_.faults_armed;
+    if (sched_rng_.chance_ppm(kOomPpm)) {
+      arm("frame_alloc/oom");
       // Steady-state block-store traffic allocates no frames, so probe the
       // site from the client host: a small mapping that either succeeds (and
       // is unmapped) or absorbs the injected kNoMemory.
@@ -425,54 +530,40 @@ class ChaosRunner {
         (void)client_host_->sys.munmap(probe.value());
       }
     }
-    // Cluster-mode events last, each gated on `cluster` *before* touching the
-    // schedule Rng, so legacy configs draw the exact legacy stream.
-    if (cfg_.cluster && cfg_.join_ppm > 0 && slots_.size() < cfg_.max_nodes &&
-        sched_rng_.chance_ppm(cfg_.join_ppm)) {
+    if (sched_rng_.chance_ppm(row_.join_ppm) && slots_.size() < kMaxNodes) {
       join_node(step);
     }
-    if (cfg_.cluster && cfg_.leave_ppm > 0 &&
-        active_count() > std::max<usize>(2, view_.replication) &&
-        sched_rng_.chance_ppm(cfg_.leave_ppm)) {
+    if (sched_rng_.chance_ppm(row_.leave_ppm) &&
+        active_count() > std::max<usize>(2, view_.replication)) {
       leave_node(step);
     }
-    if (cfg_.cluster && cfg_.delay_ppm > 0 && sched_rng_.chance_ppm(cfg_.delay_ppm)) {
+    if (sched_rng_.chance_ppm(row_.delay_ppm)) {
       const auto& slot = slots_[pick_active()];
-      FaultSpec stall;
-      stall.probability_ppm = 1'000'000;
-      stall.one_shot = true;
-      stall.delay = sched_rng_.next_range(8, cfg_.delay_polls_max);
-      reg.arm(slot.node_prefix + "/serve_delay", stall);
-      ++report_.faults_armed;
+      FaultSpec stall = one_shot();
+      stall.delay = sched_rng_.next_range(8, kDelayPollsMax);
+      arm(slot.node_prefix + "/serve_delay", stall);
       ++report_.delays_armed;
     }
-    // Heal-mode events last, each gated on `heal` *before* touching the
-    // schedule Rng, so legacy and churn configs draw their exact streams.
-    if (cfg_.heal && cfg_.bit_rot_ppm > 0 && sched_rng_.chance_ppm(cfg_.bit_rot_ppm)) {
+    if (sched_rng_.chance_ppm(row_.bit_rot_ppm)) {
       // Silent media decay: the next read of some sector returns flipped
       // bytes with no I/O error. Only the block CRC stands between this and
       // serving garbage.
       const auto& slot = slots_[pick_active()];
-      FaultSpec rot;
-      rot.probability_ppm = 1'000'000;
-      rot.one_shot = true;
-      rot.corrupt_bytes = sched_rng_.next_range(1, cfg_.bit_rot_bytes_max);
-      reg.arm(slot.fault_prefix + "/bit_rot", rot);
-      ++report_.faults_armed;
+      FaultSpec rot = one_shot();
+      rot.corrupt_bytes = sched_rng_.next_range(1, kBitRotBytesMax);
+      arm(slot.fault_prefix + "/bit_rot", rot);
     }
-    if (cfg_.heal) {
-      if (cfg_.flap_ppm > 0 && sched_rng_.chance_ppm(cfg_.flap_ppm)) {
-        start_flap();
-      }
-      advance_flaps();
-      if (cfg_.slow_peer_ppm > 0 && sched_rng_.chance_ppm(cfg_.slow_peer_ppm)) {
-        start_slow_spell(step);
-      }
-      expire_slow_spells(step);
-      for (auto& slot : slots_) {
-        if (slot.active && slot.ae) {
-          slot.ae->tick();
-        }
+    if (sched_rng_.chance_ppm(row_.flap_ppm)) {
+      start_flap();
+    }
+    advance_flaps();
+    if (sched_rng_.chance_ppm(row_.slow_peer_ppm)) {
+      start_slow_spell(step);
+    }
+    expire_slow_spells(step);
+    for (auto& slot : slots_) {
+      if (slot.active && slot.ae) {
+        slot.ae->tick();
       }
     }
   }
@@ -481,16 +572,8 @@ class ChaosRunner {
   // until its toggle budget runs out — the pathological case for repair
   // protocols that assume a partition is either up or down for a while.
   void start_flap() {
-    std::vector<LinkAddr> ends;
-    for (const auto& slot : slots_) {
-      if (slot.active) {
-        ends.push_back(slot.addr);
-      }
-    }
-    ends.push_back(client_addr_);
-    LinkAddr a = ends[sched_rng_.next_below(ends.size())];
-    LinkAddr b = ends[sched_rng_.next_below(ends.size())];
-    usize toggles = sched_rng_.next_range(2, cfg_.flap_toggles_max);
+    auto [a, b] = pick_link();
+    usize toggles = sched_rng_.next_range(2, kFlapTogglesMax);
     if (a == b) {
       return;  // degenerate draw: the storm fizzles (rng already consumed)
     }
@@ -520,18 +603,17 @@ class ChaosRunner {
 
   // A sustained slow peer: serve_delay re-arms on EVERY serve for the spell's
   // length — latency asymmetry (one member consistently slower than the
-  // others), not the one-shot hiccup the churn schedule injects.
+  // others), not the one-shot hiccup of a delay event.
   void start_slow_spell(usize step) {
     usize i = pick_active();
-    usize len = static_cast<usize>(sched_rng_.next_range(8, cfg_.slow_spell_steps_max));
+    usize len = static_cast<usize>(sched_rng_.next_range(8, kSlowSpellStepsMax));
     FaultSpec spell;
     spell.probability_ppm = 1'000'000;
     spell.one_shot = false;
-    spell.delay = cfg_.slow_peer_polls;
-    FaultRegistry::global().arm(slots_[i].node_prefix + "/serve_delay", spell);
+    spell.delay = kSlowPeerPolls;
+    arm(slots_[i].node_prefix + "/serve_delay", spell);
     slow_until_[i] = step + len;
     ++report_.slow_spells;
-    ++report_.faults_armed;
   }
 
   void expire_slow_spells(usize step) {
@@ -552,17 +634,14 @@ class ChaosRunner {
   void join_node(usize step) {
     usize i = slots_.size();
     slots_.emplace_back();
-    boot_slot_machine(i);
-    auto& slot = slots_[i];
-    view_.ring.add_node(slot.id);
-    view_.directory[slot.id] = BsPeer{slot.addr, kPort};
+    boot_member(i);
     make_node(i);  // configures the joiner with the grown view
     for (usize j = 0; j < slots_.size(); ++j) {
       if (j != i && slots_[j].active && slots_[j].node) {
         rebalance_slot(j, step);
       }
     }
-    client_->add_failover(slot.addr, kPort);
+    client_->add_failover(slots_[i].addr, kPort);
     client_->set_cluster(view_);
     ++report_.joins;
     VNROS_LOG_DEBUG("chaos", "node %zu joined at step %zu", i, step);
@@ -643,7 +722,7 @@ class ChaosRunner {
     slot.ae.reset();
     slot.node.reset();
     slot.host.reset();
-    slot.disk->crash(cfg_.persist_ppm, cfg_.torn_crash_ppm);
+    slot.disk->crash(kPersistPpm, kTornCrashPpm);
 
     // Probe recovery first so the runner knows whether the kernel's
     // format-on-failure fallback will engage (the probe is idempotent:
@@ -659,70 +738,58 @@ class ChaosRunner {
     if (!recoverable) {
       ++report_.reimages;
       VNROS_LOG_DEBUG("chaos", "node %zu unrecoverable at step %zu: re-imaged", i, step);
-      if (cfg_.heal) {
-        merkle_bootstrap(i);
-        downgrade_lost_floors();
-      } else {
-        anti_entropy_into(i);
+      // Merkle passes against every live peer pull the surviving copies back
+      // with their write stamps intact. Best-effort mid-schedule: a
+      // partitioned or shedding peer just leaves divergence for the
+      // background scheduler and the quiesce convergence loop to finish.
+      if (!sync_with_peers(slot)) {
+        (void)sync_with_peers(slot);
       }
       downgrade_lost_keys();
     }
   }
 
-  // Heal-mode re-image bootstrap: Merkle passes against every live peer pull
-  // the surviving copies back over the wire with their write stamps intact —
-  // unlike anti_entropy_into, which re-stamps through node->put() and would
-  // invalidate the linearizability histories. Best-effort mid-schedule: a
-  // partitioned or shedding peer just leaves divergence for the background
-  // scheduler and the quiesce convergence loop to finish.
-  void merkle_bootstrap(usize i) {
-    auto& slot = slots_[i];
-    if (!slot.ae) {
-      return;
-    }
-    for (int round = 0; round < 2; ++round) {
-      bool all_clean = true;
-      for (auto& peer : slots_) {
-        if (&peer == &slot || !peer.active || !peer.node) {
-          continue;
-        }
-        peer.node->grant_tokens(64 * 1'000'000);
-        const u64 clean_before = slot.ae->stats().clean_passes;
-        (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
-        if (slot.ae->stats().clean_passes != clean_before + 1) {
-          all_clean = false;
-        }
-      }
-      if (all_clean) {
-        break;
-      }
-    }
-  }
-
-  // The heal-mode analog of downgrade_lost_keys: a re-image may destroy the
-  // only copy that carried a key's acknowledged stamp. If no surviving
-  // inventory entry (live or tombstone) reaches the acked floor, the floor
-  // drops to zero — legitimate data loss under total-disk failure, accounted
-  // separately so the report shows how often the schedule forced it.
-  void downgrade_lost_floors() {
-    std::map<std::string, u64> best;
-    for (const auto& slot : slots_) {
-      if (!slot.node) {
+  // One Merkle pass from `slot` against every other live member. True when
+  // every pass found matching roots.
+  bool sync_with_peers(NodeSlot& slot) {
+    bool all_clean = true;
+    for (auto& peer : slots_) {
+      if (&peer == &slot || !peer.active || !peer.node) {
         continue;
       }
-      for (const auto& e : slot.node->list()) {
-        auto [it, inserted] = best.try_emplace(e.key, e.seq);
-        if (!inserted) {
-          it->second = std::max(it->second, e.seq);
+      const u64 clean_before = slot.ae->stats().clean_passes;
+      (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
+      if (slot.ae->stats().clean_passes != clean_before + 1) {
+        all_clean = false;
+      }
+    }
+    return all_clean;
+  }
+
+  // A re-image destroys everything on one disk. A key whose acknowledged
+  // state now survives on no replica was only ever held by the re-imaged
+  // node (best-effort replication never reached a peer): that is legitimate
+  // data loss under total-disk failure, not a correctness bug. Its certain
+  // bytes become uncertain, and if no surviving inventory entry (live or
+  // tombstone) reaches its acked floor the floor drops to zero — counted, so
+  // the report shows how often the schedule forced it — instead of failing
+  // the invariants on it later.
+  void downgrade_lost_keys() {
+    const auto views = node_views();
+    std::map<std::string, u64> best;  // highest surviving stamp per key
+    for (const auto& slot : slots_) {
+      if (slot.node) {
+        for (const auto& e : slot.node->list()) {
+          best[e.key] = std::max(best[e.key], e.seq);
         }
       }
     }
     for (auto& [key, h] : histories_) {
-      if (h.acked_floor == 0) {
-        continue;
+      if (h.certain && !held(views, key, *h.certain)) {
+        VNROS_LOG_DEBUG("chaos", "certain key %s lost with its only replica", key.c_str());
+        h.certain.reset();
       }
-      auto it = best.find(key);
-      if (it == best.end() || it->second < h.acked_floor) {
+      if (h.acked_floor != 0 && best[key] < h.acked_floor) {
         VNROS_LOG_DEBUG("chaos", "acked floor of %s lost with its only replica", key.c_str());
         h.acked_floor = 0;
         h.acked_is_del = false;
@@ -731,112 +798,39 @@ class ChaosRunner {
     }
   }
 
-  // Repopulates a re-imaged node from the surviving replicas' local views.
-  // In cluster mode only the keys the node actually owns are restored —
-  // placement, not mirroring.
-  void anti_entropy_into(usize i) {
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (j == i || !slots_[j].node) {
-        continue;
-      }
-      for (const auto& [key, value] : slots_[j].node->view()) {
-        if (cfg_.cluster) {
-          auto owners = view_.owners(key);
-          if (std::find(owners.begin(), owners.end(), slots_[i].id) == owners.end()) {
-            continue;
-          }
-        }
-        auto have = slots_[i].node->get(key);
-        if (have.ok() && have.value() == value) {
-          continue;
-        }
-        if (!have.ok()) {
-          (void)slots_[i].node->put(key, value);
-        }
-      }
-    }
-  }
+  using NodeView = std::map<std::string, std::vector<u8>>;
 
-  // A re-image destroys everything on one disk. Any certain key whose acked
-  // bytes now exist on no replica was only ever held by the re-imaged node
-  // (best-effort replication never reached a peer): that is legitimate data
-  // loss under total-disk failure, not a correctness bug — downgrade the key
-  // to uncertain instead of failing the invariant on it later.
-  void downgrade_lost_keys() {
-    std::vector<std::map<std::string, std::vector<u8>>> views;
+  std::vector<NodeView> node_views() const {
+    std::vector<NodeView> views;
     for (const auto& slot : slots_) {
       if (slot.node) {
         views.push_back(slot.node->view());
       }
     }
-    for (auto& [key, belief] : beliefs_) {
-      if (!belief.certain) {
-        continue;
-      }
-      bool held = false;
-      for (const auto& view : views) {
-        auto it = view.find(key);
-        if (it != view.end() && it->second == *belief.certain) {
-          held = true;
-          break;
-        }
-      }
-      if (!held) {
-        VNROS_LOG_DEBUG("chaos", "certain key %s lost with its only replica", key.c_str());
-        belief.certain.reset();
+    return views;
+  }
+
+  static bool held(const std::vector<NodeView>& views, const std::string& key,
+                   const std::vector<u8>& bytes) {
+    for (const auto& view : views) {
+      auto it = view.find(key);
+      if (it != view.end() && it->second == bytes) {
+        return true;
       }
     }
+    return false;
   }
 
   // --- Client workload ------------------------------------------------------
 
   void client_op(usize step) {
-    std::string key = "key" + std::to_string(sched_rng_.next_below(cfg_.keys));
-    auto& belief = beliefs_[key];
+    std::string key = "key" + std::to_string(sched_rng_.next_below(row_.keys));
+    auto& h = histories_[key];
     ++report_.ops;
-    // One draw decides the op; the cut points move for the delete-heavy mix
-    // (5/3/2 put/get/del instead of 6/3/1) without touching the rng stream,
-    // so legacy seeds replay unchanged.
-    u64 kind = sched_rng_.next_below(10);
-    const u64 put_cut = cfg_.del_heavy ? 5 : 6;
-    const u64 get_cut = cfg_.del_heavy ? 8 : 9;
-    if (kind < put_cut) {
-      std::vector<u8> value(sched_rng_.next_range(1, cfg_.max_value_bytes));
-      for (auto& b : value) {
-        b = static_cast<u8>(sched_rng_.next_u64());
-      }
-      belief.history.push_back(value);
-      auto r = client_->put(key, value);
-      if (cfg_.heal) {
-        record_write(key, value, /*tombstone=*/false, r.ok());
-      }
-      if (r.ok()) {
-        ++report_.ops_ok;
-        belief.certain = std::move(value);
-      } else {
-        // Unacked: the put may or may not have applied anywhere (it may even
-        // have applied and destroyed the previous copy mid-overwrite), so
-        // nothing about this key is certain any more.
-        ++report_.ops_failed;
-        belief.certain.reset();
-      }
-    } else if (kind < get_cut) {
-      auto r = client_->get_with_seq(key);
-      if (r.ok()) {
-        ++report_.ops_ok;
-        if (!belief.in_history(r.value().first)) {
-          fail(step, "get(" + key + ") returned bytes the client never wrote");
-        } else if (cfg_.heal) {
-          check_read(step, key, r.value().first, r.value().second);
-        }
-      } else {
-        ++report_.ops_failed;  // kNotFound/corrupt/timeout: all acceptable
-      }
-    } else {
+    const u64 kind = sched_rng_.next_below(1'000'000);
+    if (kind < row_.del_ppm) {
       auto r = client_->del(key);
-      if (cfg_.heal) {
-        record_write(key, {}, /*tombstone=*/true, r.ok());
-      }
+      record_write(h, {}, /*tombstone=*/true, r.ok());
       if (r.ok()) {
         ++report_.ops_ok;
       } else {
@@ -844,15 +838,43 @@ class ChaosRunner {
       }
       // Acked or not, stale replicas may still hold (and later serve or
       // repair from) older values, so a delete only removes certainty.
-      belief.certain.reset();
+      h.certain.reset();
+    } else if (kind < row_.del_ppm + kGetPpm) {
+      auto r = client_->get_with_seq(key);
+      if (r.ok()) {
+        ++report_.ops_ok;
+        if (!h.wrote(r.value().first)) {
+          fail(step, "get(" + key + ") returned bytes the client never wrote");
+        } else {
+          check_read(step, key, h, r.value().first, r.value().second);
+        }
+      } else {
+        ++report_.ops_failed;  // kNotFound/corrupt/timeout: all acceptable
+      }
+    } else {
+      std::vector<u8> value(sched_rng_.next_range(1, kMaxValueBytes));
+      for (auto& b : value) {
+        b = static_cast<u8>(sched_rng_.next_u64());
+      }
+      auto r = client_->put(key, value);
+      record_write(h, value, /*tombstone=*/false, r.ok());
+      if (r.ok()) {
+        ++report_.ops_ok;
+        h.certain = std::move(value);
+      } else {
+        // Unacked: the put may or may not have applied anywhere (it may even
+        // have applied and destroyed the previous copy mid-overwrite), so
+        // nothing about this key is certain any more.
+        ++report_.ops_failed;
+        h.certain.reset();
+      }
     }
   }
 
-  // Heal mode: every attempted write lands in the key's history under the
-  // stamp the client assigned it (retries reuse the stamp, so one op is one
-  // history entry). Acked writes raise the key's acknowledged floor.
-  void record_write(const std::string& key, std::vector<u8> value, bool tombstone, bool acked) {
-    auto& h = histories_[key];
+  // Every attempted write lands in the key's history under the stamp the
+  // client assigned it (retries reuse the stamp, so one op is one history
+  // entry). Acked writes raise the key's acknowledged floor.
+  void record_write(KeyHistory& h, std::vector<u8> value, bool tombstone, bool acked) {
     const u64 seq = client_->last_write_seq();
     h.writes.push_back(KeyHistory::Write{seq, std::move(value), tombstone, acked});
     if (acked && seq > h.acked_floor) {
@@ -861,13 +883,13 @@ class ChaosRunner {
     }
   }
 
-  // Heal mode, checked at op time: a read that returns (bytes, stamp) must
-  // return EXACTLY the bytes of the attempted write that owns the stamp —
-  // stamps are globally unique, so a mismatch means a node spliced bytes
-  // across writes (or served a tombstone as data).
-  void check_read(usize step, const std::string& key, const std::vector<u8>& bytes, u64 seq) {
+  // Checked at op time: a read that returns (bytes, stamp) must return
+  // EXACTLY the bytes of the attempted write that owns the stamp — stamps
+  // are globally unique, so a mismatch means a node spliced bytes across
+  // writes (or served a tombstone as data).
+  void check_read(usize step, const std::string& key, const KeyHistory& h,
+                  const std::vector<u8>& bytes, u64 seq) {
     ++report_.lin_reads_checked;
-    const auto& h = histories_[key];
     const KeyHistory::Write* w = h.find_seq(seq);
     if (w == nullptr) {
       fail(step, "lin: get(" + key + ") returned stamp " + std::to_string(seq) +
@@ -888,83 +910,60 @@ class ChaosRunner {
     cuts_.clear();
     flaps_.clear();        // heal_all() flattened the storms
     slow_until_.clear();   // disarm_all() ended the spells
-    for (int i = 0; i < 256; ++i) {
-      pump_all();  // drain every in-flight frame through the servers
-    }
-    if (cfg_.cluster) {
-      // Hinted-handoff convergence: with the fabric healed, a few delivery
-      // passes must land every parked hint whose owner is still a member.
-      // Quiesce is not an overload test, so refill admission buckets first.
-      for (int round = 0; round < 4; ++round) {
-        for (auto& slot : slots_) {
-          if (slot.active && slot.node) {
-            slot.node->grant_tokens(64 * 1'000'000);
-            (void)slot.node->deliver_hints();
-          }
-        }
-        for (int i = 0; i < 32; ++i) {
-          pump_all();
+    set_admission_all(false);
+    pump_n(256);  // drain every in-flight frame through the servers
+    // Hinted-handoff convergence: with the fabric healed, a few delivery
+    // passes must land every parked hint whose owner is still a member.
+    for (int round = 0; round < 4; ++round) {
+      for (auto& slot : slots_) {
+        if (slot.active && slot.node) {
+          (void)slot.node->deliver_hints();
         }
       }
+      pump_n(32);
     }
-    if (cfg_.heal) {
-      // Self-healing convergence: anti-entropy until every pair is clean,
-      // then reclaim acknowledged tombstones (quiesce doubles as the
-      // gc_grace barrier: the fabric is drained and every hint delivered, so
-      // no stale datagram can race the reclaim), then converge again so a
-      // member that missed a best-effort kTombstoneGc re-spreads its
-      // tombstone instead of diverging.
-      ++quiesces_;
+    // Self-healing convergence: anti-entropy until every pair is clean, then
+    // reclaim acknowledged tombstones (quiesce doubles as the gc_grace
+    // barrier: the fabric is drained and every hint delivered, so no stale
+    // datagram can race the reclaim), then converge again so a member that
+    // missed a best-effort kTombstoneGc re-spreads its tombstone instead of
+    // diverging.
+    ++quiesces_;
+    if (!ae_converge(step)) {
+      return;
+    }
+    if (quiesces_ % kGcEvery == 0) {
+      run_tombstone_gc();
       if (!ae_converge(step)) {
         return;
       }
-      if (cfg_.gc_every > 0 && quiesces_ % cfg_.gc_every == 0) {
-        run_tombstone_gc();
-        if (!ae_converge(step)) {
-          return;
-        }
-      }
-      if (!check_heal_invariants(step)) {
-        return;
-      }
+    }
+    set_admission_all(true);
+    if (!check_heal_invariants(step)) {
+      return;
     }
 
-    std::vector<std::map<std::string, std::vector<u8>>> views;
-    for (const auto& slot : slots_) {
-      if (slot.node) {
-        views.push_back(slot.node->view());
-      }
-    }
-    for (const auto& [key, belief] : beliefs_) {
+    const auto views = node_views();
+    for (const auto& [key, h] : histories_) {
       for (usize j = 0; j < views.size(); ++j) {
         auto it = views[j].find(key);
-        if (it != views[j].end() && !belief.in_history(it->second)) {
+        if (it != views[j].end() && !h.wrote(it->second)) {
           fail(step, "node " + std::to_string(j) + " stores garbage for " + key);
           return;
         }
       }
-      if (belief.certain) {
-        bool held = false;
-        for (const auto& view : views) {
-          auto it = view.find(key);
-          if (it != view.end() && it->second == *belief.certain) {
-            held = true;
-            break;
+      if (h.certain && !held(views, key, *h.certain)) {
+        for (usize j = 0; j < slots_.size(); ++j) {
+          if (!slots_[j].node) {
+            VNROS_LOG_DEBUG("chaos", "  slot %zu: departed", j);
+            continue;
           }
+          auto local = slots_[j].node->get(key);
+          VNROS_LOG_DEBUG("chaos", "  slot %zu: get(%s) -> %s", j, key.c_str(),
+                          local.ok() ? "stale bytes" : error_name(local.error()));
         }
-        if (!held) {
-          for (usize j = 0; j < slots_.size(); ++j) {
-            if (!slots_[j].node) {
-              VNROS_LOG_DEBUG("chaos", "  slot %zu: departed", j);
-              continue;
-            }
-            auto local = slots_[j].node->get(key);
-            VNROS_LOG_DEBUG("chaos", "  slot %zu: get(%s) -> %s", j, key.c_str(),
-                            local.ok() ? "stale bytes" : error_name(local.error()));
-          }
-          fail(step, "acked put of " + key + " readable on no node after quiesce");
-          return;
-        }
+        fail(step, "acked put of " + key + " readable on no node after quiesce");
+        return;
       }
     }
 
@@ -972,22 +971,18 @@ class ChaosRunner {
     // accumulated at crash time). Every applied replica was pushed by some
     // peer — the runner's fabric never duplicates datagrams, so applications
     // can only lag, not lead — and every read repair was triggered by a
-    // corrupt local read.
+    // corrupt local read. Anti-entropy ships replicas through its own rpc
+    // layer, not the node's push_acked, so its pushes are missing from
+    // replicas_pushed: each repair rpc puts at most rpc_attempts datagrams on
+    // the wire, bounding the replica applications it can have caused.
     BlockStoreStats total = cumulative_stats();
-    u64 pushed_bound = total.replicas_pushed;
-    if (cfg_.heal) {
-      // Anti-entropy ships replicas through its own rpc layer, not the
-      // node's push_acked, so its pushes are missing from replicas_pushed.
-      // Each repair rpc puts at most kAeRpcAttempts datagrams on the wire,
-      // bounding the replica applications it can have caused.
-      u64 ae_rpcs = ae_rpcs_harvested_;
-      for (const auto& slot : slots_) {
-        if (slot.ae) {
-          ae_rpcs += slot.ae->stats().rpcs;
-        }
+    u64 ae_rpcs = ae_rpcs_harvested_;
+    for (const auto& slot : slots_) {
+      if (slot.ae) {
+        ae_rpcs += slot.ae->stats().rpcs;
       }
-      pushed_bound += ae_rpcs * kAeRpcAttempts;
     }
+    const u64 pushed_bound = total.replicas_pushed + ae_rpcs * ae_base_.rpc_attempts;
     if (total.replicas_applied > pushed_bound) {
       fail(step, "obs incoherence: " + std::to_string(total.replicas_applied) +
                      " replicas applied > " + std::to_string(pushed_bound) +
@@ -1000,29 +995,27 @@ class ChaosRunner {
                      " corrupt reads");
       return;
     }
-    if (cfg_.cluster) {
-      // Membership belief agreement: after churn quiesces, every live member
-      // holds the same ring (version + order-insensitive fingerprint) as the
-      // runner's authoritative view.
-      for (usize j = 0; j < slots_.size(); ++j) {
-        if (!slots_[j].active || !slots_[j].node) {
-          continue;
-        }
-        if (slots_[j].node->ring_version() != view_.ring.version() ||
-            slots_[j].node->ring_fingerprint() != view_.ring.fingerprint()) {
-          fail(step, "node " + std::to_string(j) + " ring belief diverged (version " +
-                         std::to_string(slots_[j].node->ring_version()) + " vs " +
-                         std::to_string(view_.ring.version()) + ")");
-          return;
-        }
+    // Membership belief agreement: after churn quiesces, every live member
+    // holds the same ring (version + order-insensitive fingerprint) as the
+    // runner's authoritative view.
+    for (usize j = 0; j < slots_.size(); ++j) {
+      if (!slots_[j].active || !slots_[j].node) {
+        continue;
       }
-      // Hint coherence: a delivered hint was once written (across all
-      // incarnations — the same park-then-drain shape as pushed/applied).
-      if (total.hints_delivered > total.hints_written) {
-        fail(step, "obs incoherence: " + std::to_string(total.hints_delivered) +
-                       " hints delivered > " + std::to_string(total.hints_written) + " written");
+      if (slots_[j].node->ring_version() != view_.ring.version() ||
+          slots_[j].node->ring_fingerprint() != view_.ring.fingerprint()) {
+        fail(step, "node " + std::to_string(j) + " ring belief diverged (version " +
+                       std::to_string(slots_[j].node->ring_version()) + " vs " +
+                       std::to_string(view_.ring.version()) + ")");
         return;
       }
+    }
+    // Hint coherence: a delivered hint was once written (across all
+    // incarnations — the same park-then-drain shape as pushed/applied).
+    if (total.hints_delivered > total.hints_written) {
+      fail(step, "obs incoherence: " + std::to_string(total.hints_delivered) +
+                     " hints delivered > " + std::to_string(total.hints_written) + " written");
+      return;
     }
     ++report_.checks;
   }
@@ -1036,24 +1029,11 @@ class ChaosRunner {
     for (int round = 0; round < 8; ++round) {
       bool all_clean = true;
       for (auto& slot : slots_) {
-        if (!slot.active || !slot.ae) {
-          continue;
-        }
-        for (auto& peer : slots_) {
-          if (&peer == &slot || !peer.active || !peer.node) {
-            continue;
-          }
-          peer.node->grant_tokens(64 * 1'000'000);  // quiesce is not an overload test
-          const u64 clean_before = slot.ae->stats().clean_passes;
-          (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
-          if (slot.ae->stats().clean_passes != clean_before + 1) {
-            all_clean = false;
-          }
+        if (slot.active && slot.ae && !sync_with_peers(slot)) {
+          all_clean = false;
         }
       }
-      for (int i = 0; i < 32; ++i) {
-        pump_all();
-      }
+      pump_n(32);
       if (all_clean) {
         return true;
       }
@@ -1071,15 +1051,8 @@ class ChaosRunner {
       if (!slot.active || !slot.node) {
         continue;
       }
-      for (auto& peer : slots_) {
-        if (peer.active && peer.node) {
-          peer.node->grant_tokens(64 * 1'000'000);
-        }
-      }
       (void)slot.node->gc_tombstones(64);
-      for (int i = 0; i < 32; ++i) {
-        pump_all();
-      }
+      pump_n(32);
     }
   }
 
@@ -1151,12 +1124,10 @@ class ChaosRunner {
   }
 
   void fail(usize step, const std::string& what) {
-    char seed_hex[32];
-    std::snprintf(seed_hex, sizeof(seed_hex), "0x%llx",
-                  static_cast<unsigned long long>(cfg_.seed));
     report_.ok = false;
     report_.message = "chaos invariant violated at step " + std::to_string(step) + ": " + what +
-                      " — replay with ChaosConfig{.seed = " + seed_hex + "}";
+                      " — replay with " + report_.replay +
+                      " ./chaos_test --gtest_filter=ChaosReplay.FromEnv";
   }
 
   // Folds a node incarnation's obs counters into the run-cumulative totals.
@@ -1234,7 +1205,10 @@ class ChaosRunner {
         report_.bit_rot_reads += slot.disk->stats().bit_rot_reads;
       }
     }
-    report_.fault_fires = FaultRegistry::global().total_fires();
+    auto& reg = FaultRegistry::global();
+    report_.fault_fires = reg.total_fires();
+    report_.ring_submit_fires = reg.site("syscall/ring_submit").stats().fires;
+    report_.ring_complete_fires = reg.site("syscall/ring_complete").stats().fires;
     report_.client_failovers = client_->retry_stats().failovers;
     report_.client_retries = client_->retry_stats().retries;
     if (report_.message.empty()) {
@@ -1252,28 +1226,42 @@ class ChaosRunner {
     bool cut = false;
   };
 
-  static constexpr u64 kAeRpcAttempts = 2;  // AntiEntropyConfig default
-
-  ChaosConfig cfg_;
+  const Preset& row_;
+  const u64 seed_;
   Rng sched_rng_;
+  AntiEntropyConfig ae_base_;  // every incarnation's repair config but its rng seed
   Network net_;
   std::vector<NodeSlot> slots_;
   std::unique_ptr<ChaosHost> client_host_;
   LinkAddr client_addr_ = 0;
   std::unique_ptr<BlockStoreClient> client_;
   std::vector<std::pair<LinkAddr, LinkAddr>> cuts_;
-  std::map<std::string, KeyBelief> beliefs_;
-  ClusterView view_;  // cluster mode: the runner's authoritative membership
-  std::vector<Flap> flaps_;              // heal mode: running flap storms
-  std::map<usize, usize> slow_until_;    // heal mode: slot -> spell expiry step
-  std::map<std::string, KeyHistory> histories_;  // heal mode: lin-checker state
-  usize quiesces_ = 0;                   // heal mode: GC cadence counter
+  ClusterView view_;  // the runner's authoritative membership
+  std::vector<Flap> flaps_;              // running flap storms
+  std::map<usize, usize> slow_until_;    // slot -> slow-spell expiry step
+  std::map<std::string, KeyHistory> histories_;  // every key the client touched
+  usize quiesces_ = 0;                   // GC cadence counter
   u64 ae_rpcs_harvested_ = 0;            // repair rpcs from dead incarnations
   ChaosReport report_;
 };
 
 }  // namespace
 
-ChaosReport run_chaos(const ChaosConfig& config) { return ChaosRunner(config).run(); }
+std::string_view chaos_preset_name(ChaosPreset preset) { return preset_row(preset).name; }
+
+std::optional<ChaosPreset> chaos_preset_named(std::string_view name) {
+  for (ChaosPreset p : kChaosPresets) {
+    if (chaos_preset_name(p) == name) {
+      return p;
+    }
+  }
+  return std::nullopt;
+}
+
+std::span<const ChaosCounter> chaos_coverage(ChaosPreset preset) {
+  return preset_row(preset).covers;
+}
+
+ChaosReport run_chaos(ChaosPreset preset, u64 seed) { return ChaosRunner(preset, seed).run(); }
 
 }  // namespace vnros

@@ -1,25 +1,35 @@
 // The chaos harness (robustness counterpart of the app VCs): a multi-node
 // block-store cluster driven by a seed-replayable adversarial schedule.
 //
-// Every source of nondeterminism — client op mix, crash points, partition
-// cuts, fault-site arming, torn-write lengths, crash-survival of cached
-// sectors — derives from ChaosConfig::seed, so any failing run replays
-// exactly from the seed printed in the failure message.
+// There is one schedule. A preset (ChaosPreset) is a named row of per-event
+// rates for it in the table in chaos.cc; every event draws from the schedule
+// Rng on every step, and a zero rate simply never fires. Every source of
+// nondeterminism — client op mix, crash points, partition cuts, fault-site
+// arming, torn-write lengths, crash-survival of cached sectors — derives from
+// the (preset, seed) pair, so any failing run replays exactly from the
+// `VNROS_CHAOS_PRESET=… VNROS_CHAOS_SEED=0x…` line printed in its message.
 //
-// The schedule interleaves client operations with:
+// Every run is a consistent-hash cluster (three initial members, two ring
+// owners per key) whose client rides VTP streams. The schedule interleaves
+// client put/get/delete operations with:
 //   - node crashes (BlockDevice::crash with partial persistence and torn
 //     sectors) followed by reboot + journal recovery at the same fabric
 //     address (KernelConfig::link_addr); unrecoverable disks are re-imaged
-//     (KernelConfig::format_on_recovery_failure) and repopulated by
-//     anti-entropy from the surviving replicas;
+//     (KernelConfig::format_on_recovery_failure) and repopulated by Merkle
+//     anti-entropy from the surviving replicas, write stamps intact;
 //   - network partitions (Network::partition/heal) that the client's
-//     failover policy must route around;
-//   - fault-site arming: per-node disk read/write errors and torn writes,
-//     global syscall kIoError/kNoMemory injection, frame-allocator OOM.
+//     failover policy must route around, and partition flap storms;
+//   - fault-site arming: per-node disk read/write errors, torn writes and
+//     silent bit-rot, global syscall kIoError and frame-allocator OOM, the
+//     two SysRing sites (submit kill, completion deferral), and one-shot or
+//     sustained serve stalls (slow peers);
+//   - membership churn (join/leave with rebalancing and hinted handoff) and
+//     admission-control overload.
 //
 // After every `check_every` steps (and at the end) the runner quiesces —
-// disarms every fault, heals every cut, drains the fabric — and checks the
-// durability invariant:
+// disarms every fault, heals every cut, drains the fabric, delivers hints,
+// runs Merkle anti-entropy to convergence and acknowledgement-gated
+// tombstone GC — and checks:
 //   1. no garbage: every block any node stores, and every value any get
 //      returned, is byte-identical to some value the client actually wrote
 //      to that key;
@@ -27,20 +37,15 @@
 //      *successful* put, the acked bytes are present on at least one node
 //      (keys touched by failed/timed-out ops become "uncertain" — any
 //      historical value or absence is acceptable, but never garbage);
-//   3. detectability: reads never return bytes that fail the block CRC;
-//   4. obs coherence: the nodes' obs counters stay mutually consistent across
-//      crashes — replicas applied never exceed replicas pushed (the fabric
-//      never duplicates), and read repairs never exceed corrupt reads.
-//
-// Heal mode (ChaosConfig::heal) layers the self-healing storage story on
-// top: sequenced delete tombstones in the workload, silent disk bit-rot,
-// partition flap storms and sustained slow peers in the schedule, Merkle
-// anti-entropy + acknowledgement-gated tombstone GC at quiesce, and a
-// per-key linearizability checker that validates every read against the
-// "replicated sequenced register with quiesce points" spec — at quiesce the
-// converged state must carry the maximum write sequence, deleted keys must
-// stay deleted on every node (no resurrection), and all live members'
-// Merkle roots must agree.
+//   3. linearizability against a "replicated sequenced register with
+//      quiesce points": every read's (bytes, stamp) matches the write that
+//      owns the stamp (checked at op time), the converged state carries at
+//      least every acknowledged stamp, acknowledged deletes never resurrect,
+//      and all live members' Merkle roots agree;
+//   4. obs coherence: replicas applied never exceed replicas pushed (plus the
+//      repair-rpc bound), read repairs never exceed corrupt reads, hints
+//      delivered never exceed hints written, and every live member holds the
+//      runner's ring.
 //
 // The global span tracer runs armed for the whole schedule, timestamped by
 // the client kernel's virtual clock, so the span trace replays
@@ -48,83 +53,32 @@
 #ifndef VNROS_SRC_APP_CHAOS_H_
 #define VNROS_SRC_APP_CHAOS_H_
 
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "src/base/types.h"
 
 namespace vnros {
 
-struct ChaosConfig {
-  u64 seed = 1;
-  usize nodes = 3;            // block-store replicas (>= 2 for repair paths)
-  usize steps = 250;          // schedule steps (each is one client op + events)
-  usize keys = 10;            // key universe (small: forces overwrite churn)
-  usize max_value_bytes = 400;
-  usize check_every = 50;     // quiesce + invariant check cadence
+// The presets, in table order:
+//   crash    — crashes, partitions and disk/syscall/OOM faults only;
+//   churn    — plus join/leave rebalancing and one-shot serve stalls;
+//   overload — churn with admission rationed well below the offered load;
+//   heal     — churn plus a delete-heavy mix, bit-rot, flap storms and
+//              sustained slow peers;
+//   ring     — heal-style adversity with the SysRing fault sites armed often.
+enum class ChaosPreset : u8 { kCrash, kChurn, kOverload, kHeal, kRing };
 
-  // Per-step event probabilities, parts-per-million.
-  u64 crash_ppm = 20'000;          // crash + reboot a random node
-  u64 partition_ppm = 25'000;      // cut a random (node|client, node) pair
-  u64 heal_ppm = 40'000;           // heal a random active cut
-  u64 disk_fault_ppm = 30'000;     // arm a one-shot disk fault on a random node
-  u64 torn_write_ppm = 10'000;     // arm a one-shot torn write on a random node
-  u64 syscall_fault_ppm = 15'000;  // arm one-shot syscall kIoError injection
-  u64 oom_ppm = 8'000;             // arm one-shot frame-allocator OOM + probe it
-
-  // Crash severity: chance each unflushed sector survives, and chance a
-  // surviving unflushed sector is torn to a prefix.
-  u64 persist_ppm = 500'000;
-  u64 torn_crash_ppm = 150'000;
-
-  // --- Cluster mode (membership churn) -------------------------------------
-  // Off by default; a legacy config draws exactly the legacy schedule from
-  // its seed (every new event is gated on `cluster` before touching the
-  // schedule Rng), so the fixed seed matrix replays unchanged.
-  bool cluster = false;        // consistent-hash placement instead of static peers
-  usize replication = 2;       // ring owners per key
-  usize vnodes = 32;           // virtual nodes per member
-  usize max_nodes = 6;         // join cap (slots are never reused)
-  u64 join_ppm = 0;            // per-step: boot a new member + rebalance all
-  u64 leave_ppm = 0;           // per-step: graceful leave (aborts if it would
-                               // strand a shard: rebalance reports failed > 0)
-  u64 delay_ppm = 0;           // per-step: arm a one-shot serve_delay stall
-  u64 delay_polls_max = 80;    // stall length drawn from [8, delay_polls_max]
-  u64 admission_rate_ppm = 0;  // tokens/step granted to every node (0 = gate off)
-  u64 admission_burst = 4;     // admission bucket capacity, in ops
-
-  // --- Heal mode (self-healing storage: tombstones + Merkle anti-entropy) --
-  // Off by default; every heal event is gated on `heal` *before* touching the
-  // schedule Rng, so legacy and churn seed matrices replay unchanged.
-  bool heal = false;           // heal events + lin checker + Merkle repair at quiesce
-  bool del_heavy = false;      // client mix 5/3/2 put/get/del instead of 6/3/1
-  u64 bit_rot_ppm = 0;         // per-step: arm one-shot silent disk corruption
-  u64 bit_rot_bytes_max = 8;   // flipped bytes per fire, drawn from [1, max]
-  u64 flap_ppm = 0;            // per-step: start a partition flap storm (a pair
-                               // toggles cut/healed every step for its length)
-  u64 flap_toggles_max = 8;    // storm length drawn from [2, flap_toggles_max]
-  u64 slow_peer_ppm = 0;       // per-step: start a sustained slow-peer spell
-                               // (serve_delay re-arms on EVERY serve: latency
-                               // asymmetry, not a one-shot hiccup)
-  u64 slow_peer_polls = 12;    // stall per serve during the spell
-  u64 slow_spell_steps_max = 40;  // spell length drawn from [8, max]
-  usize gc_every = 2;          // run tombstone GC at every Nth quiesce (0 = never)
-
-  // --- Ring faults (async submission/completion syscall rings) --------------
-  // Off by default; both draws are gated on a nonzero ppm *before* touching
-  // the schedule Rng, so every existing seed matrix replays unchanged. All
-  // serve/repair/client traffic rides SysRings, so these sites sit on the
-  // cluster's whole syscall data plane.
-  u64 ring_submit_fault_ppm = 0;    // per-step: arm one-shot syscall/ring_submit
-                                    // (an accepted SQE completes immediately
-                                    // with the injected error, exactly once)
-  u64 ring_complete_fault_ppm = 0;  // per-step: arm one-shot syscall/ring_complete
-                                    // (one pending op is deferred a reactor
-                                    // pass — completion jitter, not an error)
-};
+inline constexpr ChaosPreset kChaosPresets[] = {ChaosPreset::kCrash, ChaosPreset::kChurn,
+                                                ChaosPreset::kOverload, ChaosPreset::kHeal,
+                                                ChaosPreset::kRing};
 
 struct ChaosReport {
   bool ok = false;
-  std::string message;  // on failure: what broke, at which step, which seed
+  std::string message;  // on failure: what broke, at which step, and the replay line
+  std::string replay;   // env assignments that rerun exactly this schedule
   u64 seed = 0;
 
   // Schedule accounting (what the run actually exercised).
@@ -137,6 +91,8 @@ struct ChaosReport {
   u64 heals = 0;
   u64 faults_armed = 0;
   u64 fault_fires = 0;  // FaultRegistry fires attributable to this run
+  u64 ring_submit_fires = 0;    // fires of syscall/ring_submit (SQE killed)
+  u64 ring_complete_fires = 0;  // fires of syscall/ring_complete (op deferred)
   u64 read_repairs = 0;
   // Cumulative across node reboots (obs counters are per-instance, so the
   // runner accumulates each incarnation's totals at crash/finalize time).
@@ -148,7 +104,7 @@ struct ChaosReport {
   u64 client_retries = 0;
   u64 checks = 0;       // invariant checkpoints passed
 
-  // Cluster-mode accounting.
+  // Membership and admission accounting.
   u64 joins = 0;
   u64 leaves = 0;
   u64 aborted_leaves = 0;  // graceful leaves that would have stranded a shard
@@ -159,7 +115,7 @@ struct ChaosReport {
   u64 stale_ignored = 0;   // replica writes refused as older than the local copy
   u64 delays_armed = 0;    // serve_delay stalls injected
 
-  // Heal-mode accounting.
+  // Self-healing accounting.
   u64 tombstones_written = 0;  // sequenced deletes persisted (all incarnations)
   u64 tombstones_gced = 0;     // tombstones reclaimed after shard-wide acks
   u64 hints_dropped = 0;       // hints evicted by the per-peer cap
@@ -173,12 +129,27 @@ struct ChaosReport {
   u64 ae_bytes = 0;            // repair wire bytes (requests + replies)
   u64 lin_reads_checked = 0;   // reads validated against the sequenced-register spec
   u64 acked_floor_drops = 0;   // keys downgraded after re-image data loss
+
+  bool operator==(const ChaosReport&) const = default;
 };
 
-// Runs one seeded chaos schedule to completion (or first invariant
-// violation). Uses the process-global FaultRegistry; do not run two
-// ChaosRunners concurrently in one process.
-ChaosReport run_chaos(const ChaosConfig& config);
+// Replay name lookup: "crash", "churn", "overload", "heal", "ring".
+std::string_view chaos_preset_name(ChaosPreset preset);
+std::optional<ChaosPreset> chaos_preset_named(std::string_view name);
+
+// One entry of a preset's coverage row: a report counter that the preset's
+// seed matrix, summed over its seeds, must drive above zero. A matrix that
+// leaves one at zero has silently stopped testing what the preset claims.
+struct ChaosCounter {
+  std::string_view name;
+  u64 ChaosReport::*field;
+};
+std::span<const ChaosCounter> chaos_coverage(ChaosPreset preset);
+
+// Runs one seeded schedule of `preset` to completion (or first invariant
+// violation). Uses the process-global FaultRegistry; do not run two chaos
+// schedules concurrently in one process.
+ChaosReport run_chaos(ChaosPreset preset, u64 seed);
 
 }  // namespace vnros
 

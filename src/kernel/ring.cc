@@ -88,7 +88,7 @@ usize SysRingTable::reactor_pass(Ring& ring, const Executor& exec,
   return posted;
 }
 
-Result<u32> SysRingTable::submit(Pid pid, u32 ring_id, std::span<const RingSqe> entries,
+Result<u32> SysRingTable::submit(Pid pid, u32 ring_id, std::span<RingSqe> entries,
                                  const Executor& exec, const ThreadToken& sched_tok) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rings_.find({pid, ring_id});
@@ -97,7 +97,7 @@ Result<u32> SysRingTable::submit(Pid pid, u32 ring_id, std::span<const RingSqe> 
   }
   Ring& ring = it->second;
   u32 accepted = 0;
-  for (const RingSqe& e : entries) {
+  for (RingSqe& e : entries) {
     if (ring.sq.size() >= ring.sq_slots) {
       // Typed backpressure: every refused entry is accounted; nothing is
       // silently dropped. Acceptance is a strict prefix so the caller can
@@ -120,7 +120,7 @@ Result<u32> SysRingTable::submit(Pid pid, u32 ring_id, std::span<const RingSqe> 
       continue;
     }
     Pending p;
-    p.sqe = e;
+    p.sqe = std::move(e);
     p.submit_pass = pass_counter_;
     ring.sq.push_back(std::move(p));
   }

@@ -91,8 +91,9 @@ class SysRingTable {
   // typed error is kWouldBlock. Ops outside the ring-submittable set (rows
   // without kSysRing in syscalls.def) are accepted and completed immediately
   // with kUnsupported (exactly-once is preserved: refusal is only ever about
-  // capacity).
-  Result<u32> submit(Pid pid, u32 ring_id, std::span<const RingSqe> entries,
+  // capacity). Accepted entries are moved out of `entries`; refused ones are
+  // left intact.
+  Result<u32> submit(Pid pid, u32 ring_id, std::span<RingSqe> entries,
                      const Executor& exec, const ThreadToken& sched_tok);
 
   // kRingWait: runs a reactor pass, then reaps up to max_reap completions

@@ -113,17 +113,20 @@ SysAbsState SyscallDispatcher::view(Pid pid) const {
 }
 
 std::vector<u8> SyscallDispatcher::handle(Pid pid, CoreId core, std::span<const u8> frame) {
+  // The reply is the error word followed by the payload. The payload is
+  // encoded straight into the reply frame behind a placeholder word, which
+  // is patched (little-endian, as put_u32 writes it) once the call has run.
   Reader args(frame);
   Writer reply;
+  reply.put_u32(0);
   auto nr = args.get_u32();
-  ErrorCode err = ErrorCode::kInvalidArgument;
-  Writer payload;
-  if (nr) {
-    err = exec_syscall(pid, core, *nr, args, payload);
+  const ErrorCode err =
+      nr ? exec_syscall(pid, core, *nr, args, reply) : ErrorCode::kInvalidArgument;
+  std::vector<u8> out = reply.take();
+  for (usize i = 0; i < sizeof(u32); ++i) {
+    out[i] = static_cast<u8>(static_cast<u32>(err) >> (8 * i));
   }
-  reply.put_u32(static_cast<u32>(err));
-  reply.put_raw(payload.bytes());
-  return reply.take();
+  return out;
 }
 
 

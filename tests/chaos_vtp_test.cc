@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -114,11 +115,19 @@ bool terminal(ErrorCode e) {
   return e != ErrorCode::kOk && e != ErrorCode::kWouldBlock && e != ErrorCode::kPipeClosed;
 }
 
+// The replay line a failing schedule prints: the assignment ReplayFromEnv
+// reads back with strtoull(..., 0), so the seed must be printed in hex.
+std::string replay_line(u64 seed) {
+  std::ostringstream out;
+  out << "VNROS_VTP_SEED=0x" << std::hex << seed;
+  return out.str();
+}
+
 VtpChaosReport run_vtp_chaos(const VtpChaosConfig& cfg) {
   VtpChaosReport rep;
   auto fail = [&](std::string why) {
     rep.ok = false;
-    rep.message = "seed 0x" + std::to_string(cfg.seed) + ": " + std::move(why);
+    rep.message = std::move(why) + " — replay with " + replay_line(cfg.seed);
     return rep;
   };
 
@@ -502,6 +511,16 @@ TEST(ChaosVtpTest, SameSeedSameSchedule) {
   EXPECT_EQ(a.fault_fires, b.fault_fires);
   EXPECT_EQ(a.retransmits, b.retransmits);
   EXPECT_EQ(a.window_violations, b.window_violations);
+}
+
+// The printed replay line, parsed the way ReplayFromEnv parses it, gives
+// back the seed that produced it.
+TEST(ChaosVtpTest, ReplayLineParsesBackToSeed) {
+  for (u64 seed : {u64{0x0001}, u64{0xBEEF}, u64{0xFEED5EED}}) {
+    const std::string line = replay_line(seed);
+    const std::string value = line.substr(line.find('=') + 1);
+    EXPECT_EQ(std::strtoull(value.c_str(), nullptr, 0), seed) << line;
+  }
 }
 
 // Replay hook: VNROS_VTP_SEED=0x... reruns exactly the schedule a failing
