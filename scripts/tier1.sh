@@ -16,6 +16,14 @@ cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure
 
 echo
+echo "== tier-1: Fig. 1a (every VC once, timed) =="
+# The paper's iteration-time claim (§5) is this figure: every registered VC
+# runs once, and the binary exits nonzero if any VC fails. It writes
+# BENCH_fig1a_vc_cdf.json into its working directory, so it runs inside
+# build/ and the checked-in figure at the repo root is left alone.
+(cd build && ./bench/fig1a_vc_cdf)
+
+echo
 echo "== tier-1: TSan build (nr_test + nr_log_wraparound_test + obs_test) =="
 cmake -B build-tsan -S . -DVNROS_SAN=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target nr_test nr_log_wraparound_test obs_test

@@ -25,11 +25,6 @@ namespace {
 
 constexpr Port kPort = 9000;
 constexpr u64 kDiskSectors = 16384;
-// Block-store hosts map almost no user memory (the OOM probe maps one
-// page), and PhysMem zero-fills every frame at boot: a 4 MiB machine boots
-// in ~2 ms where the 32 MiB default takes ~26 ms, and every crash and join
-// boots one.
-constexpr u64 kHostFrames = 1024;
 
 // The cluster every preset runs.
 constexpr usize kNodes = 3;        // initial members (>= 2 for repair paths)
@@ -161,7 +156,6 @@ struct ChaosHost {
   static KernelConfig make_config(Network* net, BlockDevice* disk, bool recover,
                                   std::optional<LinkAddr> addr) {
     KernelConfig config;
-    config.phys_frames = kHostFrames;
     config.network = net;
     config.disk = disk;
     config.recover_fs = recover;

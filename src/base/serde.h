@@ -19,8 +19,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/base/contracts.h"
 #include "src/base/types.h"
 
 namespace vnros {
@@ -28,6 +30,10 @@ namespace vnros {
 class Writer {
  public:
   Writer() = default;
+  // Appends into `buf` after clearing it, keeping its capacity: a caller
+  // that hands the same vector back in (take() it out again) serializes
+  // without reallocating once the buffer has grown to its working size.
+  explicit Writer(std::vector<u8> buf) : buf_(std::move(buf)) { buf_.clear(); }
 
   void put_u8(u8 v) { buf_.push_back(v); }
   void put_u16(u16 v) { put_le(v); }
@@ -47,6 +53,15 @@ class Writer {
 
   // Raw append without a length prefix (for fixed-layout trailers).
   void put_raw(std::span<const u8> data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+
+  // Overwrites the u32 at byte offset `pos` (a length or checksum field
+  // reserved with put_u32(0) and known only once the body is written).
+  void patch_u32(usize pos, u32 v) {
+    VNROS_CHECK(pos + 4 <= buf_.size());
+    for (usize i = 0; i < 4; ++i) {
+      buf_[pos + i] = static_cast<u8>(v >> (8 * i));
+    }
+  }
 
   const std::vector<u8>& bytes() const { return buf_; }
   std::vector<u8> take() { return std::move(buf_); }

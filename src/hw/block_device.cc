@@ -61,8 +61,8 @@ Result<Unit> BlockDevice::write(u64 sector, std::span<const u8> data) {
     ++stats_.torn_writes;
     auto& slot = cache_[sector];
     if (slot.empty()) {
-      slot.assign(stable_.begin() + static_cast<isize>(sector * kSectorSize),
-                  stable_.begin() + static_cast<isize>((sector + 1) * kSectorSize));
+      const u8* media = stable_.data() + sector * kSectorSize;
+      slot.assign(media, media + kSectorSize);
     }
     u64 torn_len = rng_.next_range(1, kSectorSize - 1);
     std::memcpy(slot.data(), data.data(), torn_len);
@@ -106,7 +106,7 @@ usize BlockDevice::dirty_sectors() const {
 
 std::vector<u8> BlockDevice::snapshot_stable() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stable_;
+  return std::vector<u8>(stable_.data(), stable_.data() + stable_.size());
 }
 
 }  // namespace vnros

@@ -34,6 +34,7 @@
 #include "src/base/result.h"
 #include "src/base/rng.h"
 #include "src/base/types.h"
+#include "src/base/zeroed_bytes.h"
 
 namespace vnros {
 
@@ -57,7 +58,7 @@ class BlockDevice {
   // harness can fault one node's disk without touching the others.
   BlockDevice(u64 num_sectors, u64 rng_seed = 0x5EC70Full,
               std::string fault_prefix = "blockdev")
-      : stable_(num_sectors * kSectorSize, 0),
+      : stable_(num_sectors * kSectorSize),
         rng_(rng_seed),
         fault_prefix_(std::move(fault_prefix)),
         read_error_site_(&FaultRegistry::global().site(fault_prefix_ + "/read_error")),
@@ -100,7 +101,7 @@ class BlockDevice {
 
  private:
   mutable std::mutex mu_;
-  std::vector<u8> stable_;                           // persistent media
+  ZeroedBytes stable_;                               // persistent media, zero until written
   std::unordered_map<u64, std::vector<u8>> cache_;   // sector -> pending bytes
   Rng rng_;
   std::string fault_prefix_;

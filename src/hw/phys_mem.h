@@ -9,21 +9,25 @@
 //
 // Accesses are bounds-checked unconditionally (VNROS_CHECK): an out-of-range
 // physical access is a broken simulation, not a verifiable-code bug.
+//
+// Memory starts all-zero, as after a hardware reset. The backing store is a
+// ZeroedBytes, so frames nobody touches cost no host memory and booting a
+// 1 GiB machine costs no more than booting a 4 MiB one.
 #ifndef VNROS_SRC_HW_PHYS_MEM_H_
 #define VNROS_SRC_HW_PHYS_MEM_H_
 
 #include <cstring>
 #include <span>
-#include <vector>
 
 #include "src/base/contracts.h"
 #include "src/base/types.h"
+#include "src/base/zeroed_bytes.h"
 
 namespace vnros {
 
 class PhysMem {
  public:
-  explicit PhysMem(u64 num_frames) : bytes_(num_frames * kPageSize, 0) {
+  explicit PhysMem(u64 num_frames) : bytes_(num_frames * kPageSize) {
     VNROS_CHECK(num_frames > 0);
   }
 
@@ -50,12 +54,12 @@ class PhysMem {
 
   u8 read_u8(PAddr addr) const {
     VNROS_CHECK(contains(addr));
-    return bytes_[addr.value];
+    return bytes_.data()[addr.value];
   }
 
   void write_u8(PAddr addr, u8 value) {
     VNROS_CHECK(contains(addr));
-    bytes_[addr.value] = value;
+    bytes_.data()[addr.value] = value;
   }
 
   void read(PAddr addr, std::span<u8> out) const {
@@ -88,7 +92,7 @@ class PhysMem {
   }
 
  private:
-  std::vector<u8> bytes_;
+  ZeroedBytes bytes_;
 };
 
 }  // namespace vnros

@@ -33,6 +33,8 @@ struct RecHeader {
   u32 crc;
 };
 constexpr usize kRecHeaderBytes = 4 + 8 + 4 + 4;
+constexpr usize kRecLenOffset = 4 + 8;
+constexpr usize kRecCrcOffset = kRecLenOffset + 4;
 
 u64 sectors_for(u64 bytes) { return (bytes + kSectorSize - 1) / kSectorSize; }
 
@@ -276,44 +278,6 @@ Result<Unit> MemFs::write_superblock() {
   return dev_->write(0, sector);
 }
 
-std::vector<u8> MemFs::serialize_state_locked() const {
-  FsAbsState state;
-  // Enumerate via the same traversal as view() (but we already hold the
-  // lock): rebuild paths from the inode tree.
-  struct Item {
-    u64 ino;
-    std::string path;
-  };
-  std::vector<Item> stack{{kRootIno, ""}};
-  while (!stack.empty()) {
-    Item item = stack.back();
-    stack.pop_back();
-    const Inode& node = inodes_.at(item.ino);
-    for (const auto& [name, child_ino] : node.entries) {
-      const Inode& child = inodes_.at(child_ino);
-      std::string child_path = item.path + "/" + name;
-      if (child.is_dir) {
-        state.dirs.insert(child_path);
-        stack.push_back({child_ino, child_path});
-      } else {
-        state.files[child_path] = child.data;
-      }
-    }
-  }
-
-  Writer w;
-  w.put_u32(static_cast<u32>(state.dirs.size()));
-  for (const auto& d : state.dirs) {
-    w.put_string(d);
-  }
-  w.put_u32(static_cast<u32>(state.files.size()));
-  for (const auto& [path, data] : state.files) {
-    w.put_string(path);
-    w.put_bytes(data);
-  }
-  return w.take();
-}
-
 Result<Unit> MemFs::load_state(std::span<const u8> bytes) {
   inodes_.clear();
   next_ino_ = 2;
@@ -350,24 +314,64 @@ Result<Unit> MemFs::load_state(std::span<const u8> bytes) {
 
 Result<Unit> MemFs::checkpoint_locked() {
   VNROS_CHECK(dev_ != nullptr);
-  std::vector<u8> payload = serialize_state_locked();
-  u64 total = kRecHeaderBytes + payload.size();
-  u64 need_sectors = sectors_for(total);
+  // Collect the tree by absolute path. Sorting by full path gives the order
+  // FsAbsState's set/map would, so the payload bytes are those of view()
+  // serialized, and dirs stay parent-first for load_state. Files are held by
+  // pointer: the only copy of their bytes is the one into ckpt_buf_.
+  std::vector<std::string> dirs;
+  std::vector<std::pair<std::string, const std::vector<u8>*>> files;
+  struct Item {
+    u64 ino;
+    std::string path;
+  };
+  std::vector<Item> stack{{kRootIno, ""}};
+  while (!stack.empty()) {
+    Item item = std::move(stack.back());
+    stack.pop_back();
+    for (const auto& [name, child_ino] : inodes_.at(item.ino).entries) {
+      const Inode& child = inodes_.at(child_ino);
+      std::string child_path = item.path + "/" + name;
+      if (child.is_dir) {
+        dirs.push_back(child_path);
+        stack.push_back({child_ino, std::move(child_path)});
+      } else {
+        files.emplace_back(std::move(child_path), &child.data);
+      }
+    }
+  }
+  std::sort(dirs.begin(), dirs.end());
+  std::sort(files.begin(), files.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  // Header (length and crc patched once the payload is in place), payload,
+  // zero padding to whole sectors, all in the one reused buffer.
+  Writer w(std::move(ckpt_buf_));
+  w.put_u32(kRecMagic);
+  w.put_u64(epoch_ + 1);
+  w.put_u32(0);  // payload length
+  w.put_u32(0);  // payload crc32c
+  w.put_u32(static_cast<u32>(dirs.size()));
+  for (const auto& d : dirs) {
+    w.put_string(d);
+  }
+  w.put_u32(static_cast<u32>(files.size()));
+  for (const auto& [path, data] : files) {
+    w.put_string(path);
+    w.put_bytes(*data);
+  }
+  const usize payload_len = w.size() - kRecHeaderBytes;
+  w.patch_u32(kRecLenOffset, static_cast<u32>(payload_len));
+  w.patch_u32(kRecCrcOffset, crc32c(std::span<const u8>(w.bytes()).subspan(kRecHeaderBytes)));
+  ckpt_buf_ = w.take();
+  u64 need_sectors = sectors_for(ckpt_buf_.size());
   u64 ckpt_cap = journal_start_sector() - 1;
   if (need_sectors > ckpt_cap) {
     return ErrorCode::kNoSpace;  // device misconfigured for this dataset
   }
-
-  Writer w;
-  w.put_u32(kRecMagic);
-  w.put_u64(epoch_ + 1);
-  w.put_u32(static_cast<u32>(payload.size()));
-  w.put_u32(crc32c(payload));
-  w.put_raw(payload);
-  std::vector<u8> raw = w.take();
-  raw.resize(need_sectors * kSectorSize, 0);
+  ckpt_buf_.resize(need_sectors * kSectorSize, 0);
   for (u64 s = 0; s < need_sectors; ++s) {
-    auto wr = dev_->write(1 + s, std::span<const u8>(raw.data() + s * kSectorSize, kSectorSize));
+    auto wr = dev_->write(1 + s,
+                          std::span<const u8>(ckpt_buf_.data() + s * kSectorSize, kSectorSize));
     if (!wr.ok()) {
       return wr.error();
     }

@@ -153,7 +153,6 @@ class MemFs {
   Result<Unit> journal_append(std::span<const u8> payload);
   Result<Unit> write_superblock();
   Result<Unit> checkpoint_locked();
-  std::vector<u8> serialize_state_locked() const;
   Result<Unit> load_state(std::span<const u8> bytes);
   Result<Unit> replay_journal();
 
@@ -169,6 +168,11 @@ class MemFs {
   bool ckpt_valid_ = false;
   u64 ckpt_sectors_ = 0;
   u64 journal_head_ = 0;  // absolute sector of the next record
+  // The checkpoint record is serialized here and kept between checkpoints:
+  // a checkpoint of a large tree is a multi-MiB buffer, and allocating it
+  // afresh each time costs a first-touch page fault per 4 KiB once glibc
+  // serves it by mmap (see checkpoint_locked).
+  std::vector<u8> ckpt_buf_;
   // Metrics ("fs<N>/..."). Pointers (registry-owned, process lifetime) so
   // MemFs stays movable; journal commits and fsyncs are also traced as spans.
   Counter* c_journal_records_ = nullptr;

@@ -12,6 +12,7 @@
 #include "src/base/rng.h"
 #include "src/base/serde.h"
 #include "src/base/types.h"
+#include "src/base/zeroed_bytes.h"
 
 namespace vnros {
 namespace {
@@ -285,6 +286,56 @@ TEST(SerdeTest, RawRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, raw);
   EXPECT_FALSE(r.get_raw(1).has_value());
+}
+
+TEST(SerdeTest, AdoptedBufferIsClearedAndPatchable) {
+  std::vector<u8> buf{9, 9, 9};
+  buf.reserve(64);
+  const u8* storage = buf.data();
+  Writer w(std::move(buf));
+  EXPECT_EQ(w.size(), 0u);
+  w.put_u32(0);
+  w.put_u8(0xAB);
+  w.patch_u32(0, 0x04030201);
+  EXPECT_EQ(w.bytes(), (std::vector<u8>{1, 2, 3, 4, 0xAB}));
+  std::vector<u8> back = w.take();
+  EXPECT_EQ(back.data(), storage);  // capacity kept: no reallocation
+}
+
+// --- ZeroedBytes ------------------------------------------------------------------
+
+TEST(ZeroedBytesTest, ReadsZeroUntilWritten) {
+  ZeroedBytes b(3 * kPageSize + 5);  // not a whole number of pages
+  ASSERT_NE(b.data(), nullptr);
+  EXPECT_EQ(b.size(), 3 * kPageSize + 5);
+  for (usize i = 0; i < b.size(); i += 511) {
+    EXPECT_EQ(b.data()[i], 0) << i;
+  }
+  b.data()[b.size() - 1] = 7;
+  EXPECT_EQ(b.data()[b.size() - 1], 7);
+}
+
+TEST(ZeroedBytesTest, EmptyHoldsNoMapping) {
+  ZeroedBytes none;
+  EXPECT_EQ(none.data(), nullptr);
+  EXPECT_EQ(none.size(), 0u);
+  ZeroedBytes zero(0);
+  EXPECT_EQ(zero.data(), nullptr);
+}
+
+TEST(ZeroedBytesTest, MoveTransfersTheMapping) {
+  ZeroedBytes a(kPageSize);
+  a.data()[1] = 42;
+  u8* p = a.data();
+  ZeroedBytes b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);  // moved-from is empty
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.data(), p);
+  EXPECT_EQ(b.data()[1], 42);
+  ZeroedBytes c(2 * kPageSize);
+  c = std::move(b);
+  EXPECT_EQ(c.data(), p);
+  EXPECT_EQ(c.size(), kPageSize);
 }
 
 // --- Fault registry ----------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "src/base/crc.h"
 #include "src/base/rng.h"
 #include "src/hw/block_device.h"
 #include "src/kernel/fs.h"
@@ -313,6 +314,45 @@ TEST(MemFsPersistTest, CompactionKeepsStateAndResetsJournal) {
   auto rec = MemFs::recover(dev);
   ASSERT_TRUE(rec.ok());
   EXPECT_TRUE(rec.value().view() == before);
+}
+
+// Pins the checkpoint's on-disk bytes. The tree mixes names that sort
+// differently by full path than by directory walk ("/a-x" < "/a/b"), an
+// empty file, a sparse file and a multi-sector file; recover() always writes
+// a fresh checkpoint, so the checkpoint area after it is a pure function of
+// the tree. recover() reads exactly these bytes back, so a writer change that
+// moves either constant is an on-disk format change.
+TEST(MemFsPersistTest, GoldenCheckpointBytes) {
+  BlockDevice dev(256);
+  {
+    auto fsr = MemFs::format(dev);
+    ASSERT_TRUE(fsr.ok());
+    MemFs fs = std::move(fsr.value());
+    ASSERT_TRUE(fs.mkdir("/a").ok());
+    ASSERT_TRUE(fs.mkdir("/a/b").ok());
+    ASSERT_TRUE(fs.mkdir("/z").ok());
+    ASSERT_TRUE(fs.create("/a-x").ok());
+    ASSERT_TRUE(fs.write("/a-x", 0, bytes("dash sorts before slash")).ok());
+    ASSERT_TRUE(fs.create("/a/b/c").ok());
+    ASSERT_TRUE(fs.write("/a/b/c", 700, bytes("sparse")).ok());
+    ASSERT_TRUE(fs.create("/a/empty").ok());
+    ASSERT_TRUE(fs.create("/z/big").ok());
+    std::vector<u8> big(3000);
+    for (usize i = 0; i < big.size(); ++i) {
+      big[i] = static_cast<u8>(i * 7 + 3);
+    }
+    ASSERT_TRUE(fs.write("/z/big", 0, big).ok());
+    ASSERT_TRUE(fs.fsync().ok());
+  }
+  auto rec = MemFs::recover(dev);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec.value().stats().checkpoints, 1u);
+
+  std::vector<u8> media = dev.snapshot_stable();
+  const u64 ckpt_sectors = dev.num_sectors() / 4;  // sectors 1..num/4
+  std::span<const u8> ckpt(media.data() + kSectorSize, ckpt_sectors * kSectorSize);
+  EXPECT_EQ(crc32c(ckpt), 0x0A9F46E6u);
+  EXPECT_EQ(crc32c(media), 0x641CEA22u);
 }
 
 

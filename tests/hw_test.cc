@@ -1,7 +1,10 @@
 // Unit tests for the hardware substrate: physical memory, MMU walks, TLB
 // caching and shootdown, block device, network fabric, interrupts, timer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
+#include <span>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -77,10 +80,63 @@ TEST(PhysMemTest, Contains) {
   EXPECT_FALSE(mem.contains(PAddr{~u64{0}}, 2));
 }
 
+// Resident set size of this process, from /proc/self/statm (pages).
+u64 resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  u64 size_pages = 0;
+  u64 resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
+  return resident_pages * static_cast<u64>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(PhysMemTest, FreshMemoryReadsZero) {
+  constexpr u64 kFrames = 2048;  // 8 MiB
+  PhysMem mem(kFrames);
+  for (u64 f = 0; f < kFrames; f += 97) {
+    EXPECT_EQ(mem.read_u8(PAddr::from_frame(f)), 0) << f;
+    EXPECT_EQ(mem.read_u8(PAddr{PAddr::from_frame(f).value + kPageSize - 1}), 0) << f;
+  }
+  EXPECT_EQ(mem.read_u64(PAddr::from_frame(kFrames - 1)), 0u);
+  EXPECT_EQ(mem.read_u8(PAddr{kFrames * kPageSize - 1}), 0);
+}
+
+TEST(PhysMemTest, WriteThenZeroFrameReadsZero) {
+  PhysMem mem(4);
+  std::vector<u8> ones(kPageSize, 0xFF);
+  mem.write(PAddr::from_frame(2), ones);
+  mem.zero_frame(PAddr::from_frame(2));
+  std::vector<u8> back(kPageSize, 0xAA);
+  mem.read(PAddr::from_frame(2), back);
+  EXPECT_EQ(back, std::vector<u8>(kPageSize, 0));
+}
+
+TEST(PhysMemTest, FrameSpanStaysInBounds) {
+  PhysMem mem(8);
+  std::span<u8> first = mem.frame_span(PAddr::from_frame(0));
+  std::span<u8> last = mem.frame_span(PAddr::from_frame(7));
+  EXPECT_EQ(last.size(), kPageSize);
+  EXPECT_EQ(last.data(), first.data() + 7 * kPageSize);
+  last[kPageSize - 1] = 0x5C;  // the very last byte of the machine
+  EXPECT_EQ(mem.read_u8(PAddr{8 * kPageSize - 1}), 0x5C);
+  const PhysMem& cmem = mem;
+  EXPECT_EQ(cmem.frame_span(PAddr::from_frame(7)).data(), last.data());
+}
+
+TEST(PhysMemTest, UntouchedMemoryCostsNoResidentPages) {
+  const u64 before = resident_bytes();
+  PhysMem mem(kHugePageSize / kPageSize);  // a 1 GiB machine
+  mem.write_u64(PAddr{kHugePageSize - 8}, 1);
+  const u64 after = resident_bytes();
+  EXPECT_LT(after, before + (u64{16} << 20)) << "before=" << before << " after=" << after;
+  EXPECT_EQ(mem.read_u64(PAddr{0}), 0u);
+}
+
 TEST(PhysMemDeathTest, OutOfRangeAborts) {
   PhysMem mem(1);
   EXPECT_DEATH(mem.read_u64(PAddr{kPageSize}), "check clause");
   EXPECT_DEATH(mem.read_u64(PAddr{4}), "check clause");  // misaligned
+  EXPECT_DEATH(mem.frame_span(PAddr::from_frame(1)), "check clause");
 }
 
 // --- MMU: hand-built page tables ----------------------------------------------------
@@ -321,6 +377,17 @@ TEST(BlockDeviceTest, SnapshotMatchesStableOnly) {
   EXPECT_EQ(snap[0], 0xEE);
 }
 
+TEST(BlockDeviceTest, FreshDeviceReadsZeroEverywhere) {
+  BlockDevice dev(16384);  // 8 MiB of media
+  std::vector<u8> back(kSectorSize);
+  const std::vector<u8> zeros(kSectorSize, 0);
+  for (u64 s = 0; s < dev.num_sectors(); ++s) {
+    ASSERT_TRUE(dev.read(s, back).ok());
+    ASSERT_EQ(back, zeros) << "sector " << s;
+  }
+  EXPECT_EQ(dev.snapshot_stable(), std::vector<u8>(dev.num_sectors() * kSectorSize, 0));
+}
+
 TEST(BlockDeviceTest, OutOfRangeIsTypedErrorNeverClamps) {
   BlockDevice dev(16);
   std::vector<u8> buf(kSectorSize, 0xAB);
@@ -398,6 +465,13 @@ TEST(BlockDeviceTest, TornWriteAppliesStrictPrefixThenFails) {
   EXPECT_EQ(back[0], 0x33);
   EXPECT_EQ(back[kSectorSize - 1], 0x22);
   EXPECT_EQ(dev.stats().torn_writes, 1u);
+
+  // A torn write to a sector never written tears over the media's zeros.
+  reg.arm("hwtest/torndev/torn_write", spec);
+  ASSERT_FALSE(dev.write(9, new_data).ok());
+  ASSERT_TRUE(dev.read(9, back).ok());
+  EXPECT_EQ(back[0], 0x33);
+  EXPECT_EQ(back[kSectorSize - 1], 0);
   reg.disarm_prefix("hwtest/torndev/");
 }
 

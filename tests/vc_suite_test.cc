@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "src/base/contracts.h"
 #include "src/spec/vc.h"
@@ -49,19 +50,22 @@ bool register_all = [] {
 }();
 
 // Also assert the aggregate properties the paper reports on: the VC count is
-// in the vicinity of the paper's 220, and every Table-2 category has live,
-// passing coverage.
+// in the vicinity of the paper's 220, and every Table-2 category has live
+// coverage. Coverage is read from the registry's metadata: every VC already
+// runs, and must pass, as its own Vc_* test above, so each VC runs once.
 TEST(VcUniverse, CountAndCoverage) {
   EXPECT_GE(registry().size(), 150u);
-  auto summary = registry().run_all();
-  EXPECT_TRUE(summary.all_passed());
+  std::set<VcCategory> covered;
+  for (const Vc& vc : registry().vcs()) {
+    covered.insert(vc.category);
+  }
   for (VcCategory c : {VcCategory::kMemorySafety, VcCategory::kRefinement,
                        VcCategory::kConcurrency, VcCategory::kScheduler,
                        VcCategory::kMemoryManagement, VcCategory::kFilesystem,
                        VcCategory::kDrivers, VcCategory::kProcessManagement,
                        VcCategory::kThreadsSync, VcCategory::kNetworkStack,
                        VcCategory::kSystemLibraries, VcCategory::kApplication}) {
-    EXPECT_TRUE(summary.category_covered(c)) << vc_category_name(c);
+    EXPECT_EQ(covered.count(c), 1u) << vc_category_name(c);
   }
 }
 
